@@ -24,7 +24,7 @@ from .certify import (
 )
 from .clique import CliqueComplete, CliqueFailure, greedy_clique, greedy_clique_over
 from .graph import GenSpec, Graph, GraphInputError, GraphParseError, build, generate, parse, to_dimacs
-from .lexcolor import ColorTrace, ForcedOrderError, TieBreak, lex_color, lex_compare
+from .lexcolor import ColorTrace, ForcedOrderError, TieBreak, lex_color
 from .niceset import NiceCheckWitness, NiceStableSetCert, nice_check
 from .obstruction import InternalInvariantError, extract_obstruction
 
@@ -57,7 +57,6 @@ __all__ = [
     "greedy_clique",
     "greedy_clique_over",
     "lex_color",
-    "lex_compare",
     "main",
     "nice_check",
     "parse",

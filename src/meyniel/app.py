@@ -24,7 +24,7 @@ from .certify import (
 )
 from .clique import CliqueFailure, greedy_clique, greedy_clique_over
 from .graph import FAMILIES, GenSpec, Graph, GraphInputError, generate, parse, to_dimacs
-from .lexcolor import STRATEGIES, TieBreak, lex_color
+from .lexcolor import TieBreak, lex_color
 from .niceset import NiceStableSetCert, nice_check
 from .obstruction import (
     BadPath,
@@ -37,11 +37,9 @@ from .obstruction import (
 from .oracle import OracleSizeError, chromatic_bf, is_meyniel_bf, omega_bf
 
 
-def robust_solve(
-    g: Graph, tb: TieBreak | None = None, strategy: str = "refined"
-) -> SolveCertificate:
+def robust_solve(g: Graph, tb: TieBreak | None = None) -> SolveCertificate:
     """Color, pair with a clique, or explain the failure.  Always verified."""
-    trace = lex_color(g, tb, strategy=strategy)
+    trace = lex_color(g, tb)
     res = greedy_clique(g, trace)
     if isinstance(res, CliqueFailure):
         ob = extract_obstruction(g, trace, res)
@@ -172,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="color the graph or produce an obstruction")
     add_graph_args(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default="refined")
     p.add_argument("--order", help="comma-separated vertex order to force")
     p.add_argument("--out", help="write the certificate here instead of stdout")
 
@@ -220,7 +217,7 @@ def main(argv=None) -> int:
             if args.order is not None:
                 order = tuple(int(tok) for tok in args.order.split(","))
                 tb = TieBreak.forced(order)
-            cert = robust_solve(g, tb, strategy=args.strategy)
+            cert = robust_solve(g, tb)
             print(_summary(cert))
             _write_cert(cert, args.out)
             return 0

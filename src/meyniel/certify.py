@@ -91,6 +91,10 @@ def verify_coloring(g: Graph, coloring) -> Verdict:
     for v, c in enumerate(cols):
         if not isinstance(c, int) or c < 1:
             return _bad(f"vertex {v} has invalid color {c!r}")
+        if c > g.n:
+            # no proper coloring needs more colors than vertices; checking
+            # here also keeps the contiguity set below at most n entries
+            return _bad(f"vertex {v} has color {c} > {g.n} vertices")
     if cols:
         k = max(cols)
         missing = set(range(1, k + 1)) - set(cols)
@@ -229,6 +233,8 @@ def decode(g: Graph, data: bytes | str):
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise _schema_error(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _schema_error("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise _schema_error("certificate document must be a JSON object")
     kind = doc.get("kind")

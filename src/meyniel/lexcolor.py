@@ -7,35 +7,34 @@ x receives color c, at which point it freezes to n - i, where i is the
 whose label vector is maximal in reverse lexicographic order (the highest
 color at which two vectors differ decides), gives it the smallest color
 absent from its colored neighborhood, and updates the labels of its
-uncolored neighbors.
+uncolored neighbors.  Ties go to the lowest index unless a TieBreak says
+otherwise.
 
-Labels are stored sparsely as (color, value) pairs sorted by descending
-color.  Because all stored values are nonzero, comparing two such lists
-with plain Python sequence order is exactly the reverse lexicographic
-comparison of the dense vectors; both strategies below lean on that.
+The whole label vector of x is packed into one int key: label_x(c) sits
+in bits (c-1)*w .. c*w-1 with w = n.bit_length().  Every label value is
+at most n - 1 < 2**w, so fields never carry into each other, and the
+reverse lexicographic order of the vectors is exactly the order of the
+keys.  The uncolored vertices sit in a heap of (-key, v) entries; a
+label update pushes a fresh entry and leaves the old one to be dropped
+when it surfaces.  Keys only grow, so the freshest entry of a vertex is
+also its best one, and the heap top is the lowest-index lex-maximal
+vertex.  Stale entries can outnumber live ones a hundredfold on dense
+graphs, so the heap is rebuilt from the live keys whenever it passes 3n
+entries.
 
-Two interchangeable strategies compute the same trace:
-
-* ``naive`` rescans all uncolored vertices each step, comparing label
-  lists pairwise.  Simple, worst case cubic; the reference.
-* ``refined`` keeps the uncolored vertices in an ordered partition of
-  label-equal classes, so selection is just "front class".  When a step
-  assigns value n - i at color c to a set S of vertices, each affected
-  class splits, and the split-off parts move, in order, to the boundary
-  between the classes that already have a nonzero entry at c and those
-  that do not, within the run of classes whose labels agree above c.
-  Runs of classes agreeing above c stay contiguous, so the move is local
-  and the rest of the order is untouched.
+Each vertex also keeps a bitmask of the colors on its colored
+neighbors.  It is exact: every neighbor colored before x was colored
+while x was still uncolored, and at that moment set its color's bit on
+x.  So the free color of x is the lowest zero bit of its mask, and the
+same bit tells whether label_x(c) is still 0.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graph import Graph
-
-STRATEGIES = ("naive", "refined")
 
 
 class ForcedOrderError(ValueError):
@@ -105,31 +104,7 @@ class ColorTrace:
         return self.classes[color - 1]
 
 
-def lex_compare(a, b) -> int:
-    """Reverse-lexicographic comparison of two label vectors.
-
-    Accepts dense sequences (position k holds the label for color k+1) or
-    mappings from color to value.  Returns -1, 0, or 1 as a is less than,
-    equal to, or greater than b; the highest color at which the vectors
-    differ decides, larger value winning.
-    """
-    sa, sb = _sparse(a), _sparse(b)
-    if sa < sb:
-        return -1
-    if sa > sb:
-        return 1
-    return 0
-
-
-def _sparse(vec) -> list[tuple[int, int]]:
-    if hasattr(vec, "items"):
-        items = [(int(c), int(v)) for c, v in vec.items() if v]
-        items.sort(reverse=True)
-        return items
-    return [(k + 1, v) for k in range(len(vec) - 1, -1, -1) if (v := vec[k])]
-
-
-def lex_color(g: Graph, tb: TieBreak | None = None, strategy: str = "refined") -> ColorTrace:
+def lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
     """Color g greedily under the label order; returns the full trace.
 
     Raises ForcedOrderError if a forced tie-break order is not a legal
@@ -139,12 +114,48 @@ def lex_color(g: Graph, tb: TieBreak | None = None, strategy: str = "refined") -
     if tb is None:
         tb = TieBreak.ascending()
     _check_tiebreak(g, tb)
-    if strategy == "naive":
-        order, color_of, step_of = _run_naive(g, tb)
-    elif strategy == "refined":
-        order, color_of, step_of = _run_refined(g, tb)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    n = g.n
+    w = n.bit_length()
+    key = [0] * n
+    used = [0] * n  # bit c-1 set iff a colored neighbor has color c
+    color_of = [0] * n
+    step_of = [0] * n
+    order: list[int] = []
+    heap = [(0, v) for v in range(n)]
+    for i in range(1, n + 1):
+        nk, top = heap[0]
+        while -nk != key[top]:
+            heappop(heap)
+            nk, top = heap[0]
+        if tb.mode == "forced":
+            x = tb.order[i - 1]
+            if key[x] < -nk:
+                raise ForcedOrderError(i, x, top)
+        elif tb.mode == "anchored" and i == 1:
+            x = tb.anchor
+        else:
+            x = top
+        mask = used[x]
+        bit = ~mask & (mask + 1)
+        c = bit.bit_length()
+        color_of[x] = c
+        step_of[x] = i
+        order.append(x)
+        # x stays in the heap: key -1 makes all its entries stale, and
+        # mask -1 (every bit set) keeps the updates below off it
+        key[x] = used[x] = -1
+        add = (n - i) << ((c - 1) * w)
+        for y in g.neighbors(x):
+            if not used[y] & bit:
+                used[y] |= bit
+                k = key[y] + add
+                key[y] = k
+                heappush(heap, (-k, y))
+        if len(heap) > 3 * n:
+            # drop the stale entries: O(n) work that leaves at most n
+            # entries, so at least 2n pushes pass before the next rebuild
+            heap = [(-k, v) for v, k in enumerate(key) if k >= 0]
+            heapify(heap)
     return _make_trace(order, color_of, step_of)
 
 
@@ -174,201 +185,3 @@ def _make_trace(order: list[int], color_of: list[int], step_of: list[int]) -> Co
         classes=tuple(tuple(cl) for cl in classes),
         num_colors=num_colors,
     )
-
-
-def _free_color(g: Graph, color_of: list[int], x: int) -> int:
-    """Smallest color not used by any colored neighbor of x."""
-    mask = 0
-    for y in g.neighbors(x):
-        cy = color_of[y]
-        if cy:
-            mask |= 1 << (cy - 1)
-    inv = ~mask
-    return (inv & -inv).bit_length()
-
-
-def _key_color(entry: tuple[int, int]) -> int:
-    return -entry[0]
-
-
-# --- naive strategy ----------------------------------------------------
-
-
-def _run_naive(g: Graph, tb: TieBreak):
-    n = g.n
-    labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    labmap: list[dict[int, int]] = [{} for _ in range(n)]
-    color_of = [0] * n
-    step_of = [0] * n
-    order: list[int] = []
-    for i in range(1, n + 1):
-        best = -1
-        for v in range(n):
-            if color_of[v] == 0 and (best < 0 or labs[v] > labs[best]):
-                best = v
-        if tb.mode == "forced":
-            x = tb.order[i - 1]
-            if labs[x] < labs[best]:
-                raise ForcedOrderError(i, x, best)
-        elif tb.mode == "anchored" and i == 1:
-            x = tb.anchor
-        else:
-            x = best
-        c = _free_color(g, color_of, x)
-        color_of[x] = c
-        step_of[x] = i
-        order.append(x)
-        val = n - i
-        for y in g.neighbors(x):
-            if color_of[y] == 0 and c not in labmap[y]:
-                labmap[y][c] = val
-                insort(labs[y], (c, val), key=_key_color)
-    return order, color_of, step_of
-
-
-# --- refined strategy --------------------------------------------------
-
-
-class _Class:
-    """Doubly-linked node holding one set of label-equal vertices."""
-
-    __slots__ = ("members", "prev", "next")
-
-    def __init__(self, members: set[int]):
-        self.members = members
-        self.prev: "_Class | None" = None
-        self.next: "_Class | None" = None
-
-
-def _unlink(node: _Class) -> None:
-    node.prev.next = node.next
-    node.next.prev = node.prev
-
-
-def _insert_before(at: _Class, node: _Class) -> None:
-    node.prev = at.prev
-    node.next = at
-    at.prev.next = node
-    at.prev = node
-
-
-def _above_prefix(lab: list[tuple[int, int]], c: int) -> tuple[tuple[int, int], ...]:
-    """Entries of a descending sparse label with color strictly above c."""
-    out = []
-    for e in lab:
-        if e[0] > c:
-            out.append(e)
-        else:
-            break
-    return tuple(out)
-
-
-def _run_refined(g: Graph, tb: TieBreak):
-    n = g.n
-    labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # negated colors of each label, ascending: a plain-int mirror of labs
-    # so insertion positions come from key-free bisect
-    negs: list[list[int]] = [[] for _ in range(n)]
-    labmap: list[dict[int, int]] = [{} for _ in range(n)]
-    color_of = [0] * n
-    step_of = [0] * n
-    order: list[int] = []
-
-    head = _Class(set())  # sentinels
-    tail = _Class(set())
-    head.next = tail
-    tail.prev = head
-    class_of: list[_Class | None] = [None] * n
-    if n:
-        first = _Class(set(range(n)))
-        _insert_before(tail, first)
-        for v in range(n):
-            class_of[v] = first
-
-    for i in range(1, n + 1):
-        front = head.next
-        if tb.mode == "forced":
-            x = tb.order[i - 1]
-            if x not in front.members:
-                raise ForcedOrderError(i, x, min(front.members))
-        elif tb.mode == "anchored" and i == 1:
-            x = tb.anchor
-        else:
-            x = min(front.members)
-        cls = class_of[x]
-        cls.members.discard(x)
-        if not cls.members:
-            _unlink(cls)
-        class_of[x] = None
-
-        c = _free_color(g, color_of, x)
-        color_of[x] = c
-        step_of[x] = i
-        order.append(x)
-
-        moved = [y for y in g.neighbors(x) if color_of[y] == 0 and c not in labmap[y]]
-        if not moved:
-            continue
-
-        buckets: dict[int, list[int]] = {}
-        bucket_cls: dict[int, _Class] = {}
-        for y in moved:
-            k = id(class_of[y])
-            if k in buckets:
-                buckets[k].append(y)
-            else:
-                buckets[k] = [y]
-                bucket_cls[k] = class_of[y]
-
-        # Runs of classes whose labels agree above color c are contiguous,
-        # and inside a run every class holding movers still has label 0 at
-        # c.  Group the movers' classes per run.
-        groups: dict[tuple, list[int]] = {}
-        for k, kls in bucket_cls.items():
-            key = _above_prefix(labs[next(iter(kls.members))], c)
-            groups.setdefault(key, []).append(k)
-
-        # For each run, the insertion point for the split-off parts is
-        # just before the run's first class with label 0 at c.  Walk
-        # backwards before touching any label or link.
-        anchors: dict[tuple, _Class] = {}
-        for key, ks in groups.items():
-            node = bucket_cls[ks[0]]
-            while node.prev is not head:
-                pr = node.prev
-                rep = next(iter(pr.members))
-                if c in labmap[rep] or _above_prefix(labs[rep], c) != key:
-                    break
-                node = pr
-            anchors[key] = node
-
-        val = n - i
-        for key, ks in groups.items():
-            parts = []
-            for k in ks:
-                kls = bucket_cls[k]
-                mem = set(buckets[k])
-                kls.members -= mem
-                part = _Class(mem)
-                parts.append((labs[next(iter(mem))], part))
-                for y in mem:
-                    class_of[y] = part
-            # Same-run parts keep their relative label order (they differ
-            # only below c, untouched by this update).
-            parts.sort(key=lambda t: t[0], reverse=True)
-            at = anchors[key]
-            for _, part in parts:
-                _insert_before(at, part)
-
-        for k, kls in bucket_cls.items():
-            if not kls.members:
-                _unlink(kls)
-
-        nc = -c
-        for y in moved:
-            labmap[y][c] = val
-            pos = bisect_right(negs[y], nc)
-            negs[y].insert(pos, nc)
-            labs[y].insert(pos, (c, val))
-
-    return order, color_of, step_of

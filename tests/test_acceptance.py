@@ -3,7 +3,8 @@
 These are the binding end-to-end checks for the package: exhaustive
 small-graph sweeps, randomized sweeps with oracle cross-checks, two
 pinned golden runs, structured-family behavior, per-vertex stable set
-extraction, scaling, strategy equivalence, and certificate tampering.
+extraction, scaling, equivalence with the naive reference coloring, and
+certificate tampering.
 Run with -rA (or -s) to see the summary lines for passing tests too.
 """
 
@@ -31,7 +32,7 @@ from meyniel.oracle import (
     omega_bf,
 )
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, naive_lex_color, random_graph
 
 
 def report(name, ok, detail=""):
@@ -55,7 +56,7 @@ def test_exhaustive_six_vertex_sweep():
         if cert.kind == "optimal":
             optimal += 1
             k = cert.num_colors
-            assert k == chromatic_bf(g) == omega_bf(g), g.edge_list()
+            assert k == chromatic_bf(g) == omega_bf(g), g.edges()
         else:
             obstructed += 1
         total += 1
@@ -201,7 +202,7 @@ def test_first_color_class_strong_on_meyniel_instances():
         cls = lex_color(g).class_of(1)
         checked += 1
         if not is_strong_stable_set(g, cls):
-            findings.append((g.edge_list(), cls))
+            findings.append((g.edges(), cls))
     for edges, cls in findings:
         print(f"FINDING: first color class {cls} not strong on {edges}")
     report(
@@ -239,10 +240,10 @@ def test_strategies_trace_identically():
     for _ in range(1000):
         n = rng.randint(1, 100)
         g = random_graph(rng, n, rng.choice([0.05, 0.2, 0.5, 0.8]))
-        if lex_color(g, strategy="naive") != lex_color(g, strategy="refined"):
+        if lex_color(g) != naive_lex_color(g):
             mismatches += 1
     report(
-        "naive and refined runs produce identical traces",
+        "the coloring engine traces exactly like the naive reference",
         mismatches == 0,
         f"1000 graphs, {mismatches} mismatches",
     )

@@ -10,7 +10,7 @@ from meyniel.graph import GenSpec, generate, parse, to_dimacs
 from meyniel.niceset import NiceStableSetCert, nice_check
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, is_strong_stable_set, omega_bf
 
-from conftest import graphs
+from conftest import graphs, naive_lex_color
 
 
 @given(graphs(max_n=9))
@@ -50,9 +50,12 @@ def test_color_via_stable_sets_certified(g):
         assert verify_obstruction(g, cert.obstruction)
 
 
-def test_both_strategies_give_same_certificate():
-    g = generate(GenSpec(family="gnp", n=30, p=0.4, seed=5))
-    assert robust_solve(g, strategy="naive") == robust_solve(g, strategy="refined")
+def test_both_strategies_give_same_certificate(monkeypatch):
+    """The certificate is the one the naive reference coloring leads to."""
+    gs = [generate(GenSpec(family="gnp", n=30, p=0.4, seed=s)) for s in range(5, 10)]
+    certs = [robust_solve(g) for g in gs]
+    monkeypatch.setattr("meyniel.app.lex_color", naive_lex_color)
+    assert [robust_solve(g) for g in gs] == certs
 
 
 def write_graph(tmp_path, g, name="g.col"):
@@ -183,6 +186,36 @@ def test_cli_error_paths(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["solve", "--no-such-flag"])
+
+
+def test_cli_verify_hostile_certificates(tmp_path):
+    """A tiny hostile certificate gets a verdict or a format error, not a traceback."""
+    import resource
+    import subprocess
+    import sys
+
+    graph = tmp_path / "one.col"
+    graph.write_text("p edge 1 0\n")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"kind":"optimal","coloring":[1000000000],"clique":[0]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+
+    def cap_memory():  # a regression then fails fast instead of exhausting memory
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    def verify(cert):
+        return subprocess.run(
+            [sys.executable, "-m", "meyniel", "verify", str(graph), str(cert)],
+            capture_output=True, text=True, preexec_fn=cap_memory,
+        )
+
+    res = verify(huge)
+    assert (res.returncode, res.stderr) == (1, "")
+    assert res.stdout.startswith("INVALID: vertex 0 has color 1000000000")
+    res = verify(deep)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 def test_module_entry_point():

@@ -50,6 +50,10 @@ class TestVerifyColoring:
         assert "invalid color 0" in verify_coloring(g, [1, 0]).reason
         assert "invalid color" in verify_coloring(g, [1, "2"]).reason
 
+    def test_color_above_vertex_count(self):
+        v = verify_coloring(build(1, []), [3])
+        assert not v and "color 3 > 1 vertices" in v.reason
+
     def test_gap_in_colors(self):
         g = build(3, [])
         v = verify_coloring(g, [1, 3, 1])
@@ -196,6 +200,9 @@ class TestDecodeRejects:
 
     def test_not_json(self):
         self.expect_format(b"{nope")
+
+    def test_deep_nesting(self):
+        self.expect_format(b"[" * 200_000)
 
     def test_not_utf8(self):
         self.expect_format(b"\xff\xfe")

@@ -1,6 +1,9 @@
 """The coloring is checked against a slow dense replay of its own rules:
 labels recomputed from scratch each step, lex-maximality verified by direct
-vector comparison, colors by explicit mex.  No sparse labels, no partition."""
+vector comparison, colors by explicit mex.  No packed keys, no heap.  Whole
+traces are also compared with the naive rescanning reference in conftest."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,9 @@ from meyniel.lexcolor import (
     ForcedOrderError,
     TieBreak,
     lex_color,
-    lex_compare,
 )
 
-from conftest import graphs
+from conftest import graphs, naive_lex_color, random_graph
 
 
 def _revlex_dense(a, b):
@@ -27,7 +29,7 @@ def _revlex_dense(a, b):
     return 0
 
 
-def replay_and_check(g, trace, check_choice=True):
+def replay_and_check(g, trace, check_choice=True, any_tie=False):
     n = g.n
     assert sorted(trace.order) == list(range(n))
     labels = [[0] * (n + 1) for _ in range(n)]
@@ -40,7 +42,7 @@ def replay_and_check(g, trace, check_choice=True):
                     continue
                 cmp = _revlex_dense(labels[x], labels[v])
                 assert cmp >= 0, f"step {step}: {v} outranks chosen {x}"
-                if cmp == 0:
+                if cmp == 0 and not any_tie:
                     assert x < v, f"step {step}: tie broken upward to {x} over {v}"
         nbr_cols = {trace.color_of[u] for u in g.neighbors(x) if colored[u]}
         mex = 1
@@ -67,15 +69,75 @@ def test_default_run_matches_dense_replay(g):
     replay_and_check(g, lex_color(g))
 
 
-@given(graphs(max_n=10), st.sampled_from(["naive", "refined"]))
-def test_both_strategies_match_replay(g, strategy):
-    replay_and_check(g, lex_color(g, strategy=strategy))
-
-
 @given(graphs(max_n=14))
 @settings(max_examples=300)
 def test_strategies_agree(g):
-    assert lex_color(g, strategy="naive") == lex_color(g, strategy="refined")
+    """The engine traces exactly like the naive reference, ascending and anchored."""
+    assert lex_color(g) == naive_lex_color(g)
+    for v in range(g.n):
+        tb = TieBreak.anchored(v)
+        assert lex_color(g, tb) == naive_lex_color(g, tb)
+
+
+def random_legal_order(g, rng):
+    """A coloring order that picks a random lex-maximal vertex at each step."""
+    n = g.n
+    labels = [[0] * n for _ in range(n)]  # labels[v][c - 1]
+    color = [0] * n
+    order = []
+    for step in range(1, n + 1):
+        rev = {v: labels[v][::-1] for v in range(n) if not color[v]}
+        top = max(rev.values())
+        x = rng.choice([v for v, lab in rev.items() if lab == top])
+        taken = {color[u] for u in g.neighbors(x)}
+        c = 1
+        while c in taken:
+            c += 1
+        color[x] = c
+        order.append(x)
+        for y in g.neighbors(x):
+            if not color[y] and labels[y][c - 1] == 0:
+                labels[y][c - 1] = n - step
+    return order
+
+
+def test_random_lex_maximal_orders_are_accepted():
+    rng = random.Random(5)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        order = random_legal_order(g, rng)
+        tb = TieBreak.forced(order)
+        trace = lex_color(g, tb)
+        assert list(trace.order) == order
+        replay_and_check(g, trace, any_tie=True)
+        assert trace == naive_lex_color(g, tb)
+
+
+def _outcome(color, g, tb):
+    try:
+        return color(g, tb)
+    except ForcedOrderError as exc:
+        return (exc.step, exc.vertex, exc.competitor)
+
+
+def test_illegal_forced_orders_fail_like_reference():
+    rng = random.Random(6)
+    failures = 0
+    for t in range(600):
+        g = random_graph(rng, rng.randint(2, 25), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        if t % 2:
+            order = list(range(g.n))
+            rng.shuffle(order)
+        else:
+            # a legal order with two positions swapped fails late, if at all
+            order = random_legal_order(g, rng)
+            i, j = rng.sample(range(g.n), 2)
+            order[i], order[j] = order[j], order[i]
+        tb = TieBreak.forced(order)
+        got = _outcome(lex_color, g, tb)
+        assert got == _outcome(naive_lex_color, g, tb)
+        failures += isinstance(got, tuple)
+    assert failures > 300
 
 
 def test_forced_order_runs_and_errors():
@@ -113,27 +175,6 @@ def test_anchor_out_of_range():
     g = build(2, [])
     with pytest.raises(ValueError):
         lex_color(g, TieBreak.anchored(2))
-
-
-def test_lex_compare_basics():
-    assert lex_compare({}, {}) == 0
-    assert lex_compare({3: 1}, {2: 9}) == 1
-    assert lex_compare({2: 3}, {2: 5}) == -1
-    assert lex_compare({3: 1}, {3: 1, 1: 4}) == -1
-    assert lex_compare((0, 2), {2: 2}) == 0
-    assert lex_compare((5, 0, 1), (4, 0, 1)) == 1
-
-
-@given(
-    st.dictionaries(st.integers(1, 6), st.integers(1, 50), max_size=6),
-    st.dictionaries(st.integers(1, 6), st.integers(1, 50), max_size=6),
-)
-def test_lex_compare_matches_dense_reference(da, db):
-    dense_a = [da.get(c, 0) for c in range(1, 7)]
-    dense_b = [db.get(c, 0) for c in range(1, 7)]
-    assert lex_compare(da, db) == _revlex_dense(dense_a, dense_b)
-    assert lex_compare(dense_a, dense_b) == _revlex_dense(dense_a, dense_b)
-    assert lex_compare(da, db) == -lex_compare(db, da)
 
 
 def test_trace_class_of():

@@ -136,7 +136,7 @@ def test_meyniel_vs_permutation_reference():
     for _ in range(250):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
-        assert is_meyniel_bf(g) == meyniel_ref(g), g.edge_list()
+        assert is_meyniel_bf(g) == meyniel_ref(g), g.edges()
 
 
 def test_chordal_and_bipartite_are_meyniel():
