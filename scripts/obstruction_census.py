@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import random
 
 from meyniel.app import robust_solve
+from meyniel.certify import OptimalPair
 from meyniel.graph import build
 
 
@@ -40,13 +41,12 @@ def run_cell(cfg: CensusConfig, n: int, p: float) -> Cell:
     for _ in range(cfg.per_cell):
         es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         cert = robust_solve(build(n, es))
-        if cert.kind == "optimal":
+        if isinstance(cert, OptimalPair):
             cell.optimal += 1
         else:
             cell.obstructed += 1
-            ob = cert.obstruction
-            cell.lengths[len(ob.cycle)] += 1
-            if ob.chord is not None:
+            cell.lengths[len(cert.cycle)] += 1
+            if cert.chord is not None:
                 cell.chords += 1
     return cell
 

@@ -10,10 +10,12 @@ re-checked by independent verifiers before it is handed out.
 
 from .app import color_via_stable_sets, main, robust_solve, robust_stable_set
 from .certify import (
+    Certificate,
     CertificateFormatError,
     CertificateInvalidError,
     MeynielObstruction,
-    SolveCertificate,
+    NiceStableSetCert,
+    OptimalPair,
     Verdict,
     decode,
     encode,
@@ -25,12 +27,13 @@ from .certify import (
 from .clique import CliqueComplete, CliqueFailure, greedy_clique, greedy_clique_over
 from .graph import GenSpec, Graph, GraphInputError, GraphParseError, build, generate, parse, to_dimacs
 from .lexcolor import ColorTrace, ForcedOrderError, TieBreak, lex_color
-from .niceset import NiceCheckWitness, NiceStableSetCert, nice_check
+from .niceset import NiceCheckWitness, nice_check
 from .obstruction import InternalInvariantError, extract_obstruction
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Certificate",
     "CertificateFormatError",
     "CertificateInvalidError",
     "CliqueComplete",
@@ -45,7 +48,7 @@ __all__ = [
     "MeynielObstruction",
     "NiceCheckWitness",
     "NiceStableSetCert",
-    "SolveCertificate",
+    "OptimalPair",
     "TieBreak",
     "Verdict",
     "build",

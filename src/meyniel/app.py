@@ -1,10 +1,10 @@
 """High-level pipelines and the command line front end.
 
 robust_solve ties the coloring, the clique builder, and the obstruction
-extraction together and never returns an unverified certificate: every
-outcome is re-checked by the independent verifiers before it leaves, so
-a bug in the fast path surfaces as InternalInvariantError instead of a
-wrong answer.
+extraction together.  Each public pipeline hands its result to
+`_verified`, the one place where solver output is re-checked by the
+independent verifiers before it leaves, so a bug in the fast path
+surfaces as InternalInvariantError instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ import argparse
 import sys
 
 from .certify import (
+    Certificate,
     CertificateFormatError,
     CertificateInvalidError,
     MeynielObstruction,
-    SolveCertificate,
+    NiceStableSetCert,
+    OptimalPair,
+    Verdict,
     decode,
     encode,
     verify_obstruction,
@@ -25,7 +28,7 @@ from .certify import (
 from .clique import CliqueFailure, greedy_clique, greedy_clique_over
 from .graph import FAMILIES, GenSpec, Graph, GraphInputError, generate, parse, to_dimacs
 from .lexcolor import TieBreak, lex_color
-from .niceset import NiceStableSetCert, nice_check
+from .niceset import nice_check
 from .obstruction import (
     BadPath,
     InternalInvariantError,
@@ -37,24 +40,42 @@ from .obstruction import (
 from .oracle import OracleSizeError, chromatic_bf, is_meyniel_bf, omega_bf
 
 
-def robust_solve(g: Graph, tb: TieBreak | None = None) -> SolveCertificate:
+def _verified(g: Graph, cert: Certificate) -> Certificate:
+    """Return cert once the independent verifiers accept it on g."""
+    if isinstance(cert, OptimalPair):
+        verdict = verify_optimal_pair(g, cert.coloring, cert.clique)
+    elif isinstance(cert, MeynielObstruction):
+        verdict = verify_obstruction(g, cert)
+    else:
+        try:
+            witness = nice_check(g, cert.order)
+        except ValueError as exc:  # not distinct, not stable or not maximal
+            verdict = Verdict(False, str(exc))
+        else:
+            verdict = Verdict(witness is None, f"order is not nice: {witness}")
+    if not verdict:
+        raise InternalInvariantError(
+            f"{type(cert).__name__} failed verification: {verdict.reason}"
+        )
+    return cert
+
+
+def robust_solve(g: Graph, tb: TieBreak | None = None) -> OptimalPair | MeynielObstruction:
     """Color, pair with a clique, or explain the failure.  Always verified."""
     trace = lex_color(g, tb)
     res = greedy_clique(g, trace)
     if isinstance(res, CliqueFailure):
-        ob = extract_obstruction(g, trace, res)
-        verdict = verify_obstruction(g, ob)
-        if not verdict:
-            raise InternalInvariantError(f"obstruction failed verification: {verdict.reason}")
-        return SolveCertificate.from_obstruction(ob)
-    verdict = verify_optimal_pair(g, trace.color_of, res.clique)
-    if not verdict:
-        raise InternalInvariantError(f"optimal pair failed verification: {verdict.reason}")
-    return SolveCertificate.optimal(trace.color_of, res.clique)
+        return _verified(g, extract_obstruction(g, trace, res))
+    return _verified(g, OptimalPair(coloring=trace.color_of, clique=res.clique))
 
 
-def robust_stable_set(g: Graph, v: int) -> "NiceStableSetCert | MeynielObstruction":
-    """A nice stable set through v, or an odd cycle with at most one chord.
+def robust_stable_set(g: Graph, v: int) -> NiceStableSetCert | MeynielObstruction:
+    """A nice stable set through v, or an odd cycle with at most one chord."""
+    return _verified(g, _stable_set(g, v))
+
+
+def _stable_set(g: Graph, v: int) -> NiceStableSetCert | MeynielObstruction:
+    """robust_stable_set without the final verification.
 
     The coloring is rerun with v forced first, so v lands in the first
     color class; that class, in coloring order, either passes the
@@ -74,38 +95,30 @@ def robust_stable_set(g: Graph, v: int) -> "NiceStableSetCert | MeynielObstructi
         chord_mid=None,
     )
     near = bad_path_to_near(g, trace, view, bp)
-    ob = near_to_obstruction(g, near)
-    verdict = verify_obstruction(g, ob)
-    if not verdict:
-        raise InternalInvariantError(f"obstruction failed verification: {verdict.reason}")
-    return ob
+    return near_to_obstruction(g, near)
 
 
-def color_via_stable_sets(g: Graph) -> SolveCertificate:
+def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
     """Color by repeatedly stripping a nice stable set.
 
     Each round anchors at the lowest surviving vertex; a niceness
     failure anywhere converts into an obstruction for the whole graph.
-    The stripped classes are paired with a clique at the end.
+    The stripped classes are paired with a clique at the end.  The
+    rounds are not verified one by one; only the final result, lifted
+    back to g, is.
     """
     remaining = g
     old = tuple(range(g.n))
     classes: list[tuple[int, ...]] = []
     while remaining.n:
-        res = robust_stable_set(remaining, 0)
+        res = _stable_set(remaining, 0)
         if isinstance(res, MeynielObstruction):
             cycle = tuple(old[u] for u in res.cycle)
             chord = res.chord
             if chord is not None:
                 lifted = (old[chord[0]], old[chord[1]])
                 chord = (min(lifted), max(lifted))
-            ob = MeynielObstruction(cycle=cycle, chord=chord)
-            verdict = verify_obstruction(g, ob)
-            if not verdict:
-                raise InternalInvariantError(
-                    f"lifted obstruction failed verification: {verdict.reason}"
-                )
-            return SolveCertificate.from_obstruction(ob)
+            return _verified(g, MeynielObstruction(cycle=cycle, chord=chord))
         members = set(res.order)
         classes.append(tuple(sorted(old[u] for u in members)))
         keep = [u for u in range(remaining.n) if u not in members]
@@ -120,10 +133,7 @@ def color_via_stable_sets(g: Graph) -> SolveCertificate:
         raise InternalInvariantError(
             f"clique builder got stuck at stripped class {res.color}"
         )
-    verdict = verify_optimal_pair(g, coloring, res.clique)
-    if not verdict:
-        raise InternalInvariantError(f"optimal pair failed verification: {verdict.reason}")
-    return SolveCertificate.optimal(coloring, res.clique)
+    return _verified(g, OptimalPair(coloring=tuple(coloring), clique=res.clique))
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -144,16 +154,13 @@ def _write_cert(cert, out: str | None) -> None:
             fh.write(data + "\n")
 
 
-def _summary(cert) -> str:
-    if isinstance(cert, NiceStableSetCert):
-        return f"NICE_STABLE_SET {len(cert.order)}"
-    if isinstance(cert, MeynielObstruction):
-        cert = SolveCertificate.from_obstruction(cert)
-    if cert.kind == "optimal":
+def _summary(cert: Certificate) -> str:
+    if isinstance(cert, OptimalPair):
         return f"OPTIMAL {cert.num_colors}"
-    ob = cert.obstruction
-    chords = 0 if ob.chord is None else 1
-    return f"OBSTRUCTION len={len(ob.cycle)} chords={chords}"
+    if isinstance(cert, MeynielObstruction):
+        chords = 0 if cert.chord is None else 1
+        return f"OBSTRUCTION len={len(cert.cycle)} chords={chords}"
+    return f"NICE_STABLE_SET {len(cert.order)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,6 +260,9 @@ def main(argv=None) -> int:
             else:
                 print("meyniel" if is_meyniel_bf(g) else "not_meyniel")
             return 0
+    except (InternalInvariantError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (GraphInputError, CertificateFormatError, OracleSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

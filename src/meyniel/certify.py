@@ -1,10 +1,12 @@
 """Certificates and their independent verifiers.
 
-Every object the solver can emit is re-checkable here against the graph
-alone, by direct definition.  The verifiers deliberately share no code
-with the procedures that construct the certificates: a coloring is
-checked edge by edge, a clique pair by pair, an obstruction cycle by
-walking it.  `encode`/`decode` give a stable JSON wire form; decoding
+The solver emits three certificate types, together the union
+`Certificate`: an OptimalPair (coloring plus clique of the same size), a
+MeynielObstruction, or a NiceStableSetCert.  Each is re-checkable here
+against the graph alone, by direct definition.  The verifiers
+deliberately share no code with the procedures that construct the
+certificates: a coloring is checked edge by edge, a clique pair by pair,
+an obstruction cycle by walking it.  `encode`/`decode` give a stable JSON wire form; decoding
 always re-verifies, so a tampered document cannot round-trip.
 """
 
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph
-from .niceset import NiceStableSetCert, nice_check, NotMaximalError, NotStableSetError
+from .niceset import nice_check
 
 
 class CertificateFormatError(ValueError):
@@ -57,30 +59,30 @@ class MeynielObstruction:
 
 
 @dataclass(frozen=True)
-class SolveCertificate:
-    """Either an optimal coloring paired with a clique of matching size,
-    or an obstruction explaining why the method gave up on this graph."""
+class OptimalPair:
+    """A proper coloring, indexed by vertex, and a clique of the same size.
 
-    kind: str
-    coloring: tuple[int, ...] | None = None
-    clique: tuple[int, ...] | None = None
-    obstruction: MeynielObstruction | None = None
+    The clique forces at least as many colors as the coloring uses, so
+    the pair proves the coloring optimal.
+    """
 
-    @staticmethod
-    def optimal(coloring, clique) -> "SolveCertificate":
-        return SolveCertificate(
-            kind="optimal", coloring=tuple(coloring), clique=tuple(clique)
-        )
-
-    @staticmethod
-    def from_obstruction(ob: MeynielObstruction) -> "SolveCertificate":
-        return SolveCertificate(kind="obstruction", obstruction=ob)
+    coloring: tuple[int, ...]
+    clique: tuple[int, ...]
 
     @property
     def num_colors(self) -> int:
-        if self.kind != "optimal":
-            raise ValueError("not an optimal certificate")
         return max(self.coloring, default=0)
+
+
+@dataclass(frozen=True)
+class NiceStableSetCert:
+    """A maximal stable set in an order that passed nice_check."""
+
+    order: tuple[int, ...]
+
+
+# Everything the pipelines return and the wire form carries.
+Certificate = OptimalPair | MeynielObstruction | NiceStableSetCert
 
 
 def verify_coloring(g: Graph, coloring) -> Verdict:
@@ -177,47 +179,39 @@ def verify_obstruction(g: Graph, ob: MeynielObstruction) -> Verdict:
     return _ok()
 
 
-def _schema_error(msg: str) -> CertificateFormatError:
-    return CertificateFormatError(msg)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_list(doc: dict, key: str) -> list[int]:
-    val = doc.get(key)
-    if not isinstance(val, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in val
-    ):
-        raise _schema_error(f"field {key!r} must be a list of integers")
-    return val
+def _int_list(doc: dict, key: str) -> tuple[int, ...]:
+    val = doc[key]
+    if not isinstance(val, list) or not all(_is_int(x) for x in val):
+        raise CertificateFormatError(f"field {key!r} must be a list of integers")
+    return tuple(val)
 
 
-def encode(cert) -> bytes:
+def _require_keys(doc: dict, *keys: str) -> None:
+    if set(doc) != {"kind", *keys}:
+        raise CertificateFormatError(
+            f"{doc['kind']} certificate needs exactly kind/{'/'.join(keys)}"
+        )
+
+
+def encode(cert: Certificate) -> bytes:
     """Serialize a certificate to canonical JSON bytes."""
-    if isinstance(cert, MeynielObstruction):
-        cert = SolveCertificate.from_obstruction(cert)
-    if isinstance(cert, NiceStableSetCert):
+    if isinstance(cert, OptimalPair):
+        doc = {"kind": "optimal", "coloring": list(cert.coloring), "clique": list(cert.clique)}
+    elif isinstance(cert, MeynielObstruction):
+        chord = list(cert.chord) if cert.chord is not None else None
+        doc = {"kind": "obstruction", "cycle": list(cert.cycle), "chord": chord}
+    elif isinstance(cert, NiceStableSetCert):
         doc = {"kind": "nice_stable_set", "order": list(cert.order)}
-    elif isinstance(cert, SolveCertificate):
-        if cert.kind == "optimal":
-            doc = {
-                "kind": "optimal",
-                "coloring": list(cert.coloring),
-                "clique": list(cert.clique),
-            }
-        elif cert.kind == "obstruction":
-            ob = cert.obstruction
-            doc = {
-                "kind": "obstruction",
-                "cycle": list(ob.cycle),
-                "chord": list(ob.chord) if ob.chord is not None else None,
-            }
-        else:
-            raise ValueError(f"unknown certificate kind {cert.kind!r}")
     else:
         raise TypeError(f"cannot encode {type(cert).__name__}")
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
-def decode(g: Graph, data: bytes | str):
+def decode(g: Graph, data: bytes | str) -> Certificate:
     """Parse and fully re-verify a certificate document against g.
 
     Raises CertificateFormatError for malformed documents and
@@ -228,57 +222,42 @@ def decode(g: Graph, data: bytes | str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _schema_error(f"not valid UTF-8: {exc}") from exc
+            raise CertificateFormatError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise _schema_error(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+        raise CertificateFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise _schema_error("not valid JSON: nested too deeply") from exc
+        raise CertificateFormatError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise _schema_error("certificate document must be a JSON object")
+        raise CertificateFormatError("certificate document must be a JSON object")
     kind = doc.get("kind")
     if kind == "optimal":
-        if set(doc) != {"kind", "coloring", "clique"}:
-            raise _schema_error("optimal certificate needs exactly kind/coloring/clique")
-        coloring = _int_list(doc, "coloring")
-        clique = _int_list(doc, "clique")
-        verdict = verify_optimal_pair(g, coloring, clique)
-        if not verdict:
-            raise CertificateInvalidError(verdict.reason)
-        return SolveCertificate.optimal(coloring, clique)
-    if kind == "obstruction":
-        if set(doc) != {"kind", "cycle", "chord"}:
-            raise _schema_error("obstruction certificate needs exactly kind/cycle/chord")
+        _require_keys(doc, "coloring", "clique")
+        cert = OptimalPair(coloring=_int_list(doc, "coloring"), clique=_int_list(doc, "clique"))
+        verdict = verify_optimal_pair(g, cert.coloring, cert.clique)
+    elif kind == "obstruction":
+        _require_keys(doc, "cycle", "chord")
         cycle = _int_list(doc, "cycle")
-        chord_doc = doc.get("chord")
-        if chord_doc is None:
-            chord = None
-        else:
-            if (
-                not isinstance(chord_doc, list)
-                or len(chord_doc) != 2
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in chord_doc)
-            ):
-                raise _schema_error("field 'chord' must be null or a pair of integers")
-            chord = (chord_doc[0], chord_doc[1])
-        ob = MeynielObstruction(cycle=tuple(cycle), chord=chord)
-        verdict = verify_obstruction(g, ob)
-        if not verdict:
-            raise CertificateInvalidError(verdict.reason)
-        return SolveCertificate.from_obstruction(ob)
-    if kind == "nice_stable_set":
-        if set(doc) != {"kind", "order"}:
-            raise _schema_error("nice_stable_set certificate needs exactly kind/order")
-        order = _int_list(doc, "order")
+        chord = doc["chord"]
+        if chord is not None:
+            if not isinstance(chord, list) or len(chord) != 2 or not all(map(_is_int, chord)):
+                raise CertificateFormatError("field 'chord' must be null or a pair of integers")
+            chord = tuple(chord)
+        cert = MeynielObstruction(cycle=cycle, chord=chord)
+        verdict = verify_obstruction(g, cert)
+    elif kind == "nice_stable_set":
+        _require_keys(doc, "order")
+        cert = NiceStableSetCert(order=_int_list(doc, "order"))
         try:
-            witness = nice_check(g, order)
-        except (NotStableSetError, NotMaximalError, ValueError) as exc:
+            witness = nice_check(g, cert.order)
+        except ValueError as exc:  # not distinct, not stable or not maximal
             raise CertificateInvalidError(str(exc)) from exc
-        if witness is not None:
-            raise CertificateInvalidError(
-                f"order is not nice: witness pair {witness.a},{witness.b}"
-                f" at position {witness.index}"
-            )
-        return NiceStableSetCert(order=tuple(order))
-    raise _schema_error(f"unknown certificate kind {kind!r}")
+        verdict = _ok() if witness is None else _bad(
+            f"order is not nice: witness pair {witness.a},{witness.b} at position {witness.index}"
+        )
+    else:
+        raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+    if not verdict:
+        raise CertificateInvalidError(verdict.reason)
+    return cert

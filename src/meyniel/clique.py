@@ -51,8 +51,4 @@ def greedy_clique_over(g: Graph, classes) -> CliqueComplete | CliqueFailure:
         q.append(best)
         for y in g.neighbors(best):
             cnt[y] += 1
-    for a in q:
-        for b in q:
-            if a != b and not g.has_edge(a, b):
-                raise AssertionError(f"greedy clique invariant broken: {a}-{b} not an edge")
     return CliqueComplete(clique=tuple(q))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class GraphInputError(ValueError):
     """Bad vertex count, edge endpoints, or generator parameters."""
@@ -281,6 +279,8 @@ def generate(spec: GenSpec) -> Graph:
 
 
 def _gnp(n: int, p: float, seed: int) -> Graph:
+    import numpy as np  # imported here: only `gen` needs it, and it dominates import time
+
     rng = np.random.default_rng(seed)
     mat = rng.random((n, n)) < p
     iu = np.triu_indices(n, k=1)
@@ -289,6 +289,8 @@ def _gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def _bipartite(n: int, p: float, seed: int) -> Graph:
+    import numpy as np
+
     left = n // 2
     rng = np.random.default_rng(seed)
     mat = rng.random((left, n - left)) < p

@@ -11,7 +11,9 @@ stands for the already-placed part: concretely, no pair a, b with
     b not adjacent to any s_j with j < i.
 
 Such a pair is returned as a witness; it seeds the odd-path machinery in
-the obstruction module.  The scan is cubic in the worst case.
+the obstruction module.  An outside vertex b can only serve at the
+position of its first neighbor in the set, so each neighbor list is
+scanned a bounded number of times and the check is linear in n + m.
 """
 
 from __future__ import annotations
@@ -30,24 +32,12 @@ class NotMaximalError(ValueError):
 
 
 @dataclass(frozen=True)
-class NiceStableSetCert:
-    """A maximal stable set in an order that passed nice_check."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class NiceCheckWitness:
     """The pair (a, b) violating niceness at position `index` (1-based, >= 2)."""
 
     index: int
     a: int
     b: int
-
-
-def prefix_adjacent(g: Graph, order, i: int, u: int) -> bool:
-    """Is u adjacent to one of the first i vertices of `order`?"""
-    return any(g.has_edge(u, s) for s in order[:i])
 
 
 def nice_check(g: Graph, order) -> NiceCheckWitness | None:
@@ -65,13 +55,14 @@ def nice_check(g: Graph, order) -> NiceCheckWitness | None:
     for v in s:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
-    for ii, u in enumerate(s):
-        for w in s[ii + 1:]:
-            if g.has_edge(u, w):
-                raise NotStableSetError(f"adjacent pair {u}-{w} in stable set")
-    in_s = [False] * n
-    for v in s:
-        in_s[v] = True
+    # pos[v]: 1-based position of v in s (0 if v is not a member)
+    pos = [0] * n
+    for idx, v in enumerate(s, start=1):
+        pos[v] = idx
+    for u in s:
+        later = [pos[w] for w in g.neighbors(u) if pos[w] > pos[u]]
+        if later:
+            raise NotStableSetError(f"adjacent pair {u}-{s[min(later) - 1]} in stable set")
     # first_s[u]: 1-based position of the first member adjacent to u (0 if none)
     first_s = [0] * n
     for idx, sv in enumerate(s, start=1):
@@ -79,21 +70,28 @@ def nice_check(g: Graph, order) -> NiceCheckWitness | None:
             if first_s[u] == 0:
                 first_s[u] = idx
     for u in range(n):
-        if not in_s[u] and first_s[u] == 0:
+        if not pos[u] and not first_s[u]:
             raise NotMaximalError(f"vertex {u} has no neighbor in the set")
 
     newly = [[] for _ in range(len(s) + 1)]
     for u in range(n):
-        if 0 < first_s[u] <= len(s):
+        if first_s[u]:
             newly[first_s[u]].append(u)
+    # near[u] == i marks u as adjacent to s_i while position i is scanned
+    near = [0] * n
     for i in range(2, len(s) + 1):
-        si = s[i - 1]
-        bs = newly[i]
-        if not bs:
+        if not newly[i]:
             continue
-        for a in range(n):
-            if 0 < first_s[a] < i and not g.has_edge(a, si):
-                for b in bs:
-                    if g.has_edge(a, b):
-                        return NiceCheckWitness(index=i, a=a, b=b)
+        for u in g.neighbors(s[i - 1]):
+            near[u] = i
+        best = None
+        for b in newly[i]:
+            # neighbors ascend, so the first qualifying a is b's smallest
+            for a in g.neighbors(b):
+                if 0 < first_s[a] < i and near[a] != i:
+                    if best is None or (a, b) < best:
+                        best = (a, b)
+                    break
+        if best is not None:
+            return NiceCheckWitness(index=i, a=best[0], b=best[1])
     return None

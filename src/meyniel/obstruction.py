@@ -18,14 +18,17 @@ w_0, ..., w_p (again at most one short chord) plus an apex z adjacent to
 both ends.  A final case analysis on where the apex first touches the
 path closes the cycle.  Every step is pure bookkeeping over edges, so a
 failed invariant raises InternalInvariantError instead of returning a
-wrong certificate; the emitted cycle is re-verified before it leaves.
+wrong certificate, and the pipelines in `app` verify the emitted cycle
+before it leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import MeynielObstruction, verify_obstruction
+from .certify import MeynielObstruction
+# not called here; kept bound because bench/tracing.py wraps it by name
+from .certify import verify_obstruction  # noqa: F401
 from .clique import CliqueFailure
 from .graph import Graph
 from .lexcolor import ColorTrace
@@ -41,14 +44,12 @@ class ContractionView:
 
     class_verts lists the class in coloring order; first_idx[v] is the
     smallest 1-based j with v adjacent to class_verts[j-1], or 0 when v
-    has no neighbor in the class.  removed holds the vertices whose
-    color is below `color` (they play no part in the extraction).
+    has no neighbor in the class.
     """
 
     color: int
     class_verts: tuple[int, ...]
     first_idx: tuple[int, ...]
-    removed: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,7 @@ def build_view(g: Graph, trace: ColorTrace, color: int) -> ContractionView:
         for u in g.neighbors(x):
             if first[u] == 0:
                 first[u] = idx
-    removed = frozenset(v for v in range(g.n) if trace.color_of[v] < color)
-    return ContractionView(
-        color=color,
-        class_verts=tuple(cls),
-        first_idx=tuple(first),
-        removed=removed,
-    )
+    return ContractionView(color=color, class_verts=tuple(cls), first_idx=tuple(first))
 
 
 def initial_bad_path(g: Graph, view: ContractionView, failure: CliqueFailure) -> BadPath:
@@ -248,13 +243,9 @@ def bad_path_to_near(
         bp = nxt
 
 
-def _emit(g: Graph, cyc: tuple[int, ...], pair: tuple[int, int] | None) -> MeynielObstruction:
+def _emit(cyc: tuple[int, ...], pair: tuple[int, int] | None) -> MeynielObstruction:
     chord = None if pair is None else (min(pair), max(pair))
-    ob = MeynielObstruction(cycle=tuple(cyc), chord=chord)
-    verdict = verify_obstruction(g, ob)
-    if not verdict:
-        raise InternalInvariantError(f"emitted cycle is invalid: {verdict.reason}")
-    return ob
+    return MeynielObstruction(cycle=tuple(cyc), chord=chord)
 
 
 def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
@@ -276,22 +267,22 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
 
         if kind == 1:
             if r % 2 == 1:
-                return _emit(g, (z,) + w[:r + 1], (w[0], w[2]))
-            return _emit(g, (z, w[0]) + w[2:r + 1], None)
+                return _emit((z,) + w[:r + 1], (w[0], w[2]))
+            return _emit((z, w[0]) + w[2:r + 1], None)
 
         if kind == 2:
             hits1 = g.has_edge(z, w[1])
             hits2 = g.has_edge(z, w[2])
             if not hits1 and not hits2:
                 if r % 2 == 1:
-                    return _emit(g, (z,) + w[:r + 1], (w[1], w[3]))
-                return _emit(g, (z, w[0], w[1]) + w[3:r + 1], None)
+                    return _emit((z,) + w[:r + 1], (w[1], w[3]))
+                return _emit((z, w[0], w[1]) + w[3:r + 1], None)
             if not hits1:
                 # apex lands on w_2 first
                 if not g.has_edge(z, w[3]):
-                    return _emit(g, (z, w[0], w[1], w[3], w[2]), (w[1], w[2]))
+                    return _emit((z, w[0], w[1], w[3], w[2]), (w[1], w[2]))
                 if g.has_edge(z, w[4]):
-                    return _emit(g, (z, w[0], w[1], w[3], w[4]), (z, w[3]))
+                    return _emit((z, w[0], w[1], w[3], w[4]), (z, w[3]))
                 w = w[2:]
                 mid = None
                 kind = 4
@@ -305,29 +296,29 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
         if kind == 3:
             if r % 2 == 1:
                 keep = mid is not None and mid + 1 <= r
-                return _emit(g, (z,) + w[:r + 1], (w[mid - 1], w[mid + 1]) if keep else None)
+                return _emit((z,) + w[:r + 1], (w[mid - 1], w[mid + 1]) if keep else None)
             if mid is not None and mid < r:
-                return _emit(g, (z,) + w[:mid] + w[mid + 1:r + 1], None)
+                return _emit((z,) + w[:mid] + w[mid + 1:r + 1], None)
             if mid == r:
                 if not g.has_edge(z, w[r + 1]):
-                    return _emit(g, (z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
+                    return _emit((z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
                 if g.has_edge(z, w[r + 2]):
-                    return _emit(g, (z,) + w[:r] + (w[r + 1], w[r + 2]), (z, w[r + 1]))
+                    return _emit((z,) + w[:r] + (w[r + 1], w[r + 2]), (z, w[r + 1]))
                 w = w[r:]
                 mid = None
                 kind = 4
                 continue
             if mid == r + 1:
                 if g.has_edge(z, w[r + 1]):
-                    return _emit(g, (z,) + w[:r + 2], (z, w[r]))
+                    return _emit((z,) + w[:r + 2], (z, w[r]))
                 if g.has_edge(z, w[r + 2]):
-                    return _emit(g, (z,) + w[:r + 1] + (w[r + 2],), (z, w[r]))
+                    return _emit((z,) + w[:r + 1] + (w[r + 2],), (z, w[r]))
                 w = w[r:]
                 mid = 1
                 kind = 1
                 continue
             if g.has_edge(z, w[r + 1]):
-                return _emit(g, (z,) + w[:r + 2], (z, w[r]))
+                return _emit((z,) + w[:r + 2], (z, w[r]))
             w = w[r:]
             mid = None if mid is None else mid - r
             kind = 3
@@ -337,11 +328,11 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
             inside = mid is not None and 2 < mid < r
             if inside:
                 if r % 2 == 1:
-                    return _emit(g, (z,) + w[1:mid] + w[mid + 1:r + 1], None)
-                return _emit(g, (z,) + w[1:r + 1], (w[mid - 1], w[mid + 1]))
+                    return _emit((z,) + w[1:mid] + w[mid + 1:r + 1], None)
+                return _emit((z,) + w[1:r + 1], (w[mid - 1], w[mid + 1]))
             if r % 2 == 1:
-                return _emit(g, (z,) + w[:r + 1], (z, w[1]))
-            return _emit(g, (z,) + w[1:r + 1], None)
+                return _emit((z,) + w[:r + 1], (z, w[1]))
+            return _emit((z,) + w[1:r + 1], None)
 
         raise InternalInvariantError(f"unknown near obstruction kind {kind}")
 
@@ -353,111 +344,3 @@ def extract_obstruction(
     bp = initial_bad_path(g, view, failure)
     near = bad_path_to_near(g, trace, view, bp)
     return near_to_obstruction(g, near)
-
-
-def validate_bad_path(g: Graph, view: ContractionView, bp: BadPath) -> list[str]:
-    """List every violated bad-path invariant (empty when sound)."""
-    probs = []
-    vs = bp.verts
-    p = len(vs)
-    i = bp.index
-    if p < 3 or p % 2 == 0:
-        probs.append(f"length {p} not odd and >= 3")
-    if len(set(vs)) != p:
-        probs.append("repeated vertices")
-    if not 2 <= i <= len(view.class_verts):
-        probs.append(f"index {i} out of range")
-        return probs
-    if vs[-1] != view.class_verts[i - 1]:
-        probs.append("last vertex is not x_index")
-    # class vertices may appear inside the path as leftover landing
-    # points, but only from positions beyond the current index; the
-    # prefix x_1..x_{i-1} stays untouched
-    pos_of = {x: t for t, x in enumerate(view.class_verts, start=1)}
-    for v in vs[:-1]:
-        if v in view.removed:
-            probs.append(f"vertex {v} was removed")
-        if pos_of.get(v, i + 1) < i:
-            probs.append(f"prefix class vertex {v} inside the path")
-    f1 = view.first_idx[vs[0]]
-    if not 1 <= f1 <= i - 1:
-        probs.append(f"head attaches at {f1}, not inside prefix")
-    for v in vs[1:]:
-        fv = view.first_idx[v]
-        if 1 <= fv <= i - 1:
-            probs.append(f"interior vertex {v} attaches inside prefix at {fv}")
-    for t in range(p - 1):
-        if not g.has_edge(vs[t], vs[t + 1]):
-            probs.append(f"missing path edge {vs[t]}-{vs[t + 1]}")
-    mid = bp.chord_mid
-    declared = set()
-    if mid is not None:
-        if not 1 <= mid <= p - 3:
-            probs.append(f"chord position {mid} out of range")
-        else:
-            if not g.has_edge(vs[mid - 1], vs[mid + 1]):
-                probs.append("declared chord is not an edge")
-            declared.add(frozenset((mid - 1, mid + 1)))
-    for s in range(p):
-        for t in range(s + 2, p):
-            if g.has_edge(vs[s], vs[t]) and frozenset((s, t)) not in declared:
-                probs.append(f"undeclared adjacency {vs[s]}-{vs[t]}")
-    return probs
-
-
-def validate_near_obstruction(g: Graph, near: NearObstruction) -> list[str]:
-    """List every violated near-obstruction invariant (empty when sound)."""
-    probs = []
-    w = near.verts
-    z = near.apex
-    n = len(w)
-    if n < 4 or n % 2 == 1:
-        probs.append(f"vertex count {n} not even and >= 4")
-    if len(set(w)) != n:
-        probs.append("repeated vertices")
-    if z in w:
-        probs.append("apex lies on the path")
-    for t in range(n - 1):
-        if not g.has_edge(w[t], w[t + 1]):
-            probs.append(f"missing path edge {w[t]}-{w[t + 1]}")
-    if not g.has_edge(z, w[0]):
-        probs.append("apex misses the start")
-    if not g.has_edge(z, w[-1]):
-        probs.append("apex misses the end")
-    mid = near.chord_mid
-    declared = set()
-    if mid is not None:
-        if not 1 <= mid <= n - 3:
-            probs.append(f"chord position {mid} out of range")
-        else:
-            if not g.has_edge(w[mid - 1], w[mid + 1]):
-                probs.append("declared chord is not an edge")
-            declared.add(frozenset((mid - 1, mid + 1)))
-    for s in range(n):
-        for t in range(s + 2, n):
-            if g.has_edge(w[s], w[t]) and frozenset((s, t)) not in declared:
-                probs.append(f"undeclared adjacency {w[s]}-{w[t]}")
-    k = near.kind
-    if k == 1:
-        if mid != 1:
-            probs.append("kind 1 needs the chord at w_0..w_2")
-        if g.has_edge(z, w[1]) or g.has_edge(z, w[2]):
-            probs.append("kind 1 apex must miss w_1 and w_2")
-    elif k == 2:
-        if mid != 2:
-            probs.append("kind 2 needs the chord at w_1..w_3")
-        elif g.has_edge(z, w[1]) and g.has_edge(z, w[3]):
-            probs.append("kind 2 apex must miss w_1 or w_3")
-    elif k == 3:
-        if mid == 1:
-            probs.append("kind 3 forbids a chord at w_0..w_2")
-        if g.has_edge(z, w[1]):
-            probs.append("kind 3 apex must miss w_1")
-    elif k == 4:
-        if mid in (1, 2):
-            probs.append("kind 4 forbids a chord touching w_1")
-        if not g.has_edge(z, w[1]) or g.has_edge(z, w[2]):
-            probs.append("kind 4 apex must hit w_1 and miss w_2")
-    else:
-        probs.append(f"unknown kind {k}")
-    return probs

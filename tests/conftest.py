@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from meyniel.graph import Graph, build
 from meyniel.lexcolor import ColorTrace, ForcedOrderError, TieBreak
+from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
 
 
 @st.composite
@@ -80,3 +81,49 @@ def naive_lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
         classes=classes,
         num_colors=num_colors,
     )
+
+
+def quadratic_nice_check(g: Graph, order) -> NiceCheckWitness | None:
+    """Reference niceness check: at each position, loop over every vertex.
+
+    Same contract as `meyniel.niceset.nice_check` (first witness in
+    (index, a, b) order, same errors in the same precedence), without the
+    neighbor-list scan that makes the library version linear.
+    """
+    s = tuple(order)
+    n = g.n
+    if len(set(s)) != len(s):
+        raise ValueError("stable set entries must be distinct")
+    for v in s:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+    for ii, u in enumerate(s):
+        for w in s[ii + 1:]:
+            if g.has_edge(u, w):
+                raise NotStableSetError(f"adjacent pair {u}-{w} in stable set")
+    in_s = [False] * n
+    for v in s:
+        in_s[v] = True
+    first_s = [0] * n
+    for idx, sv in enumerate(s, start=1):
+        for u in g.neighbors(sv):
+            if first_s[u] == 0:
+                first_s[u] = idx
+    for u in range(n):
+        if not in_s[u] and first_s[u] == 0:
+            raise NotMaximalError(f"vertex {u} has no neighbor in the set")
+    newly = [[] for _ in range(len(s) + 1)]
+    for u in range(n):
+        if 0 < first_s[u] <= len(s):
+            newly[first_s[u]].append(u)
+    for i in range(2, len(s) + 1):
+        si = s[i - 1]
+        bs = newly[i]
+        if not bs:
+            continue
+        for a in range(n):
+            if 0 < first_s[a] < i and not g.has_edge(a, si):
+                for b in bs:
+                    if g.has_edge(a, b):
+                        return NiceCheckWitness(index=i, a=a, b=b)
+    return None

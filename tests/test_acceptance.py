@@ -15,7 +15,8 @@ import time
 from meyniel.app import color_via_stable_sets, robust_solve, robust_stable_set
 from meyniel.certify import (
     MeynielObstruction,
-    SolveCertificate,
+    NiceStableSetCert,
+    OptimalPair,
     decode,
     encode,
     verify_obstruction,
@@ -24,7 +25,7 @@ from meyniel.certify import (
 from meyniel.clique import CliqueComplete, CliqueFailure, greedy_clique
 from meyniel.graph import GenSpec, generate
 from meyniel.lexcolor import TieBreak, lex_color
-from meyniel.niceset import NiceStableSetCert, nice_check
+from meyniel.niceset import nice_check
 from meyniel.oracle import (
     chromatic_bf,
     is_meyniel_bf,
@@ -53,7 +54,7 @@ def test_exhaustive_six_vertex_sweep():
     for g in all_graphs(6):
         cert = robust_solve(g)
         assert certified(g, cert)
-        if cert.kind == "optimal":
+        if isinstance(cert, OptimalPair):
             optimal += 1
             k = cert.num_colors
             assert k == chromatic_bf(g) == omega_bf(g), g.edges()
@@ -80,7 +81,7 @@ def test_random_sweep_with_oracle_cross_checks():
         if not certified(g, cert):
             bad += 1
             continue
-        if cert.kind == "optimal":
+        if isinstance(cert, OptimalPair):
             optimal += 1
             if not cert.num_colors == chromatic_bf(g) == omega_bf(g):
                 bad += 1
@@ -102,11 +103,10 @@ def test_golden_run_path_complement():
     ok = tuple(trace.color_of) == (3, 1, 1, 2, 2, 4)
     res = greedy_clique(g, trace)
     ok = ok and res == CliqueFailure(color=1, clique=(5, 0, 3))
-    cert = robust_solve(g, tb)
-    ok = ok and cert.kind == "obstruction"
-    ob = cert.obstruction
+    ob = robust_solve(g, tb)
+    ok = ok and isinstance(ob, MeynielObstruction)
     ok = ok and set(ob.cycle) == {0, 1, 2, 3, 4} and ob.chord == (0, 4)
-    ok = ok and certified(g, cert)
+    ok = ok and certified(g, ob)
     report(
         "pinned run on the 6-path complement: stuck clique and chorded 5-cycle",
         ok,
@@ -122,7 +122,7 @@ def test_golden_run_three_triangles():
     res = greedy_clique(g, trace)
     ok = ok and res == CliqueComplete(clique=(0, 4, 3))
     cert = robust_solve(g, tb)
-    ok = ok and cert.kind == "optimal" and certified(g, cert)
+    ok = ok and isinstance(cert, OptimalPair) and certified(g, cert)
     # every color class here is maximal but meets no clique transversal
     for cls in ((2, 3, 5), (1, 4, 7), (0, 6, 8)):
         ok = ok and not is_strong_stable_set(g, cls)
@@ -143,7 +143,7 @@ def test_structured_families_always_color():
             p = rng.choice([0.2, 0.4, 0.6, 0.8])
             g = generate(GenSpec(family=fam, n=n, p=p, seed=base + t))
             cert = robust_solve(g)
-            if cert.kind != "optimal" or not certified(g, cert):
+            if not isinstance(cert, OptimalPair) or not certified(g, cert):
                 bad += 1
                 continue
             if n <= 12:
@@ -253,7 +253,7 @@ def test_corrupted_certificates_are_rejected():
     g = generate(GenSpec(family="builtin", name="p6bar"))
     s = generate(GenSpec(family="builtin", name="sec5"))
     opt = robust_solve(s, TieBreak.forced((3, 1, 5, 6, 2, 8, 7, 0, 4)))
-    ob = robust_solve(g, TieBreak.forced((1, 4, 2, 0, 3, 5))).obstruction
+    ob = robust_solve(g, TieBreak.forced((1, 4, 2, 0, 3, 5)))
     checks = []
 
     def expect(label, verdict, want):

@@ -1,28 +1,41 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 from meyniel.app import color_via_stable_sets, main, robust_solve, robust_stable_set
-from meyniel.certify import decode, verify_obstruction
+from meyniel.certify import (
+    MeynielObstruction,
+    NiceStableSetCert,
+    OptimalPair,
+    decode,
+    verify_obstruction,
+)
 from meyniel.graph import GenSpec, generate, parse, to_dimacs
-from meyniel.niceset import NiceStableSetCert, nice_check
+from meyniel.niceset import nice_check
+from meyniel.obstruction import InternalInvariantError
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, is_strong_stable_set, omega_bf
 
 from conftest import graphs, naive_lex_color
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 @given(graphs(max_n=9))
 @settings(max_examples=250)
 def test_robust_solve_certified_and_optimal(g):
     cert = robust_solve(g)
-    if cert.kind == "optimal":
+    if isinstance(cert, OptimalPair):
         k = cert.num_colors
         assert k == chromatic_bf(g) == omega_bf(g)
         assert len(cert.clique) == k
     else:
-        assert verify_obstruction(g, cert.obstruction)
+        assert verify_obstruction(g, cert)
         assert not is_meyniel_bf(g)
 
 
@@ -44,10 +57,10 @@ def test_robust_stable_set_every_vertex(g):
 @settings(max_examples=200)
 def test_color_via_stable_sets_certified(g):
     cert = color_via_stable_sets(g)
-    if cert.kind == "optimal":
+    if isinstance(cert, OptimalPair):
         assert cert.num_colors == chromatic_bf(g)
     else:
-        assert verify_obstruction(g, cert.obstruction)
+        assert verify_obstruction(g, cert)
 
 
 def test_both_strategies_give_same_certificate(monkeypatch):
@@ -89,7 +102,7 @@ def test_cli_solve_optimal(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("OPTIMAL ")
     cert = decode(g, lines[1])
-    assert cert.kind == "optimal"
+    assert isinstance(cert, OptimalPair)
 
 
 def test_cli_solve_forced_obstruction(tmp_path, capsys):
@@ -101,8 +114,9 @@ def test_cli_solve_forced_obstruction(tmp_path, capsys):
     assert code == 0
     assert out.strip() == "OBSTRUCTION len=5 chords=1"
     cert = decode(g, out_file.read_text())
-    assert set(cert.obstruction.cycle) == {0, 1, 2, 3, 4}
-    assert cert.obstruction.chord == (0, 4)
+    assert isinstance(cert, MeynielObstruction)
+    assert set(cert.cycle) == {0, 1, 2, 3, 4}
+    assert cert.chord == (0, 4)
 
     code, out, _ = run(capsys, "verify", path, str(out_file))
     assert code == 0
@@ -191,8 +205,6 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_cli_verify_hostile_certificates(tmp_path):
     """A tiny hostile certificate gets a verdict or a format error, not a traceback."""
     import resource
-    import subprocess
-    import sys
 
     graph = tmp_path / "one.col"
     graph.write_text("p edge 1 0\n")
@@ -218,10 +230,43 @@ def test_cli_verify_hostile_certificates(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
+@pytest.mark.parametrize("exc", [InternalInvariantError("stuck at color 2"), MemoryError()])
+def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
+    def broken(g, tb=None):
+        raise exc
 
+    monkeypatch.setattr("meyniel.app.robust_solve", broken)
+    path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    code, out, err = run(capsys, "solve", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert type(exc).__name__ in err and "Traceback" not in err
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, meyniel.app; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_census_script_runs():
+    script = os.path.join(ROOT, "scripts", "obstruction_census.py")
+    res = subprocess.run(
+        [sys.executable, script, "--ns", "6", "--ps", "0.5", "--per-cell", "5"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split()[:2] == ["6", "0.50"]
+
+
+def test_module_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "meyniel", "gen", "--family", "complete", "--n", "3"],
         capture_output=True, text=True,

@@ -2,12 +2,14 @@ import json
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from meyniel.certify import (
     CertificateFormatError,
     CertificateInvalidError,
     MeynielObstruction,
-    SolveCertificate,
+    NiceStableSetCert,
+    OptimalPair,
     Verdict,
     decode,
     encode,
@@ -17,8 +19,7 @@ from meyniel.certify import (
     verify_optimal_pair,
 )
 from meyniel.graph import build
-from meyniel.niceset import NiceStableSetCert
-from meyniel.app import robust_solve
+from meyniel.app import robust_solve, robust_stable_set
 
 from conftest import graphs
 
@@ -157,7 +158,7 @@ class TestVerifyObstruction:
 
 
 def test_encode_is_canonical():
-    cert = SolveCertificate.optimal([1, 1], [0])
+    cert = OptimalPair(coloring=(1, 1), clique=(0,))
     assert encode(cert) == b'{"clique":[0],"coloring":[1,1],"kind":"optimal"}'
     ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=None)
     assert encode(ob) == b'{"chord":null,"cycle":[0,1,2,3,4],"kind":"obstruction"}'
@@ -167,12 +168,11 @@ def test_encode_is_canonical():
 
 def test_round_trip_all_kinds():
     g = cycle_graph(5, [(0, 2)])
-    ob = SolveCertificate.from_obstruction(
-        MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2)))
+    ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2))
     assert decode(g, encode(ob)) == ob
 
     h = build(3, [(0, 1)])
-    opt = SolveCertificate.optimal([1, 2, 1], [0, 1])
+    opt = OptimalPair(coloring=(1, 2, 1), clique=(0, 1))
     assert decode(h, encode(opt)) == opt
 
     nice = NiceStableSetCert(order=(2,))
@@ -191,6 +191,64 @@ def test_solver_output_round_trips(g):
     assert decode(g, encode(cert)) == cert
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([2 ** 64, -(2 ** 64), 10 ** 4000]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+field_values = (st.lists(st.integers(-1, 6), max_size=7) | json_values
+                | st.sampled_from(["optimal", "obstruction", "nice_stable_set"]))
+
+
+@st.composite
+def graphs_and_documents(draw):
+    """A solver certificate as a JSON object, with some fields made arbitrary."""
+    g = draw(graphs(min_n=5, max_n=8))
+    if draw(st.booleans()):
+        cert = robust_solve(g)
+    else:
+        cert = robust_stable_set(g, draw(st.integers(0, g.n - 1)))
+    doc = json.loads(encode(cert))
+    for key in sorted(doc):
+        if draw(st.integers(0, 3)) == 0:
+            doc[key] = draw(field_values)
+    if draw(st.integers(0, 3)) == 0:  # one key missing or one too many
+        key = draw(st.sampled_from(["kind", "coloring", "clique", "cycle", "chord", "order", "x"]))
+        if key in doc:
+            del doc[key]
+        else:
+            doc[key] = draw(field_values)
+    return g, doc
+
+
+def decodes_or_rejects(g, data):
+    """decode raises only its two documented errors; a result re-encodes exactly."""
+    try:
+        cert = decode(g, data)
+    except (CertificateFormatError, CertificateInvalidError):
+        return None
+    blob = encode(cert)
+    assert decode(g, blob) == cert
+    return blob
+
+
+@given(graphs(max_n=6), st.binary(max_size=120) | st.text(max_size=60).map(str.encode))
+@settings(max_examples=300)
+def test_decode_fuzz_bytes(g, data):
+    decodes_or_rejects(g, data)
+
+
+@given(graphs_and_documents())
+@settings(max_examples=600)
+def test_decode_fuzz_documents(case):
+    g, doc = case
+    blob = decodes_or_rejects(g, json.dumps(doc).encode())
+    if blob is not None:
+        assert blob == json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
 class TestDecodeRejects:
     g5 = cycle_graph(5)
 
@@ -203,6 +261,10 @@ class TestDecodeRejects:
 
     def test_deep_nesting(self):
         self.expect_format(b"[" * 200_000)
+
+    def test_int_literal_past_digit_limit(self):
+        # json.loads raises a plain ValueError for ints of more than 4300 digits
+        self.expect_format(b'{"clique":[0],"coloring":[' + b"9" * 5000 + b'],"kind":"optimal"}')
 
     def test_not_utf8(self):
         self.expect_format(b"\xff\xfe")

@@ -5,16 +5,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.graph import build
-from meyniel.niceset import (
-    NiceCheckWitness,
-    NotMaximalError,
-    NotStableSetError,
-    nice_check,
-    prefix_adjacent,
-)
+from meyniel.lexcolor import TieBreak, lex_color
+from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError, nice_check
 from meyniel.oracle import is_strong_stable_set
 
-from conftest import graphs
+from conftest import graphs, quadratic_nice_check, random_graph
+
+
+def prefix_adjacent(g, order, i, u):
+    """Is u adjacent to one of the first i vertices of `order`?"""
+    return any(g.has_edge(u, s) for s in order[:i])
 
 
 def naive_witness(g, s):
@@ -61,6 +61,34 @@ def test_nice_implies_strong(g, seed):
     s = random_ordered_mss(random.Random(seed), g)
     if nice_check(g, s) is None:
         assert is_strong_stable_set(g, s)
+
+
+def check_outcome(check, g, order):
+    """The witness, or the type and message of the error raised."""
+    try:
+        return check(g, order)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_matches_quadratic_reference():
+    rng = random.Random(8)
+    witnesses = errors = 0
+    for _ in range(1500):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3, 0.5, 0.8]))
+        orders = [lex_color(g, TieBreak.anchored(rng.randrange(n))).class_of(1),
+                  random_ordered_mss(rng, g)]
+        # not stable, not maximal, repeated or out of range
+        broken = random_ordered_mss(rng, g) + [rng.randrange(n + 1), rng.randrange(n)]
+        rng.shuffle(broken)
+        orders += [broken, orders[1][:-1]]
+        for order in orders:
+            got = check_outcome(nice_check, g, order)
+            assert got == check_outcome(quadratic_nice_check, g, order), (g.edges(), order)
+            witnesses += isinstance(got, NiceCheckWitness)
+            errors += isinstance(got, tuple)
+    assert witnesses > 100 and errors > 1000
 
 
 def test_first_witness_on_path():

@@ -26,19 +26,129 @@ from meyniel.obstruction import (
     initial_bad_path,
     near_to_obstruction,
     reduce_bad_path,
-    validate_bad_path,
-    validate_near_obstruction,
 )
 from meyniel.oracle import is_meyniel_bf
 
 from conftest import random_graph
 
 
+def validate_bad_path(g, trace, view, bp):
+    """List every violated bad-path invariant (empty when sound).
+
+    Vertices colored below the view's color play no part in the
+    extraction, so none may appear on the path.
+    """
+    probs = []
+    vs = bp.verts
+    p = len(vs)
+    i = bp.index
+    if p < 3 or p % 2 == 0:
+        probs.append(f"length {p} not odd and >= 3")
+    if len(set(vs)) != p:
+        probs.append("repeated vertices")
+    if not 2 <= i <= len(view.class_verts):
+        probs.append(f"index {i} out of range")
+        return probs
+    if vs[-1] != view.class_verts[i - 1]:
+        probs.append("last vertex is not x_index")
+    # class vertices may appear inside the path as leftover landing
+    # points, but only from positions beyond the current index; the
+    # prefix x_1..x_{i-1} stays untouched
+    pos_of = {x: t for t, x in enumerate(view.class_verts, start=1)}
+    for v in vs[:-1]:
+        if trace.color_of[v] < view.color:
+            probs.append(f"vertex {v} was removed")
+        if pos_of.get(v, i + 1) < i:
+            probs.append(f"prefix class vertex {v} inside the path")
+    f1 = view.first_idx[vs[0]]
+    if not 1 <= f1 <= i - 1:
+        probs.append(f"head attaches at {f1}, not inside prefix")
+    for v in vs[1:]:
+        fv = view.first_idx[v]
+        if 1 <= fv <= i - 1:
+            probs.append(f"interior vertex {v} attaches inside prefix at {fv}")
+    for t in range(p - 1):
+        if not g.has_edge(vs[t], vs[t + 1]):
+            probs.append(f"missing path edge {vs[t]}-{vs[t + 1]}")
+    mid = bp.chord_mid
+    declared = set()
+    if mid is not None:
+        if not 1 <= mid <= p - 3:
+            probs.append(f"chord position {mid} out of range")
+        else:
+            if not g.has_edge(vs[mid - 1], vs[mid + 1]):
+                probs.append("declared chord is not an edge")
+            declared.add(frozenset((mid - 1, mid + 1)))
+    for s in range(p):
+        for t in range(s + 2, p):
+            if g.has_edge(vs[s], vs[t]) and frozenset((s, t)) not in declared:
+                probs.append(f"undeclared adjacency {vs[s]}-{vs[t]}")
+    return probs
+
+
+def validate_near_obstruction(g, near):
+    """List every violated near-obstruction invariant (empty when sound)."""
+    probs = []
+    w = near.verts
+    z = near.apex
+    n = len(w)
+    if n < 4 or n % 2 == 1:
+        probs.append(f"vertex count {n} not even and >= 4")
+    if len(set(w)) != n:
+        probs.append("repeated vertices")
+    if z in w:
+        probs.append("apex lies on the path")
+    for t in range(n - 1):
+        if not g.has_edge(w[t], w[t + 1]):
+            probs.append(f"missing path edge {w[t]}-{w[t + 1]}")
+    if not g.has_edge(z, w[0]):
+        probs.append("apex misses the start")
+    if not g.has_edge(z, w[-1]):
+        probs.append("apex misses the end")
+    mid = near.chord_mid
+    declared = set()
+    if mid is not None:
+        if not 1 <= mid <= n - 3:
+            probs.append(f"chord position {mid} out of range")
+        else:
+            if not g.has_edge(w[mid - 1], w[mid + 1]):
+                probs.append("declared chord is not an edge")
+            declared.add(frozenset((mid - 1, mid + 1)))
+    for s in range(n):
+        for t in range(s + 2, n):
+            if g.has_edge(w[s], w[t]) and frozenset((s, t)) not in declared:
+                probs.append(f"undeclared adjacency {w[s]}-{w[t]}")
+    k = near.kind
+    if k == 1:
+        if mid != 1:
+            probs.append("kind 1 needs the chord at w_0..w_2")
+        if g.has_edge(z, w[1]) or g.has_edge(z, w[2]):
+            probs.append("kind 1 apex must miss w_1 and w_2")
+    elif k == 2:
+        if mid != 2:
+            probs.append("kind 2 needs the chord at w_1..w_3")
+        elif g.has_edge(z, w[1]) and g.has_edge(z, w[3]):
+            probs.append("kind 2 apex must miss w_1 or w_3")
+    elif k == 3:
+        if mid == 1:
+            probs.append("kind 3 forbids a chord at w_0..w_2")
+        if g.has_edge(z, w[1]):
+            probs.append("kind 3 apex must miss w_1")
+    elif k == 4:
+        if mid in (1, 2):
+            probs.append("kind 4 forbids a chord touching w_1")
+        if not g.has_edge(z, w[1]) or g.has_edge(z, w[2]):
+            probs.append("kind 4 apex must hit w_1 and miss w_2")
+    else:
+        probs.append(f"unknown kind {k}")
+    return probs
+
+
 def staged_extract(g, trace, failure, stats=None):
     """extract_obstruction with a validator audit after every round."""
     view = build_view(g, trace, failure.color)
     bp = initial_bad_path(g, view, failure)
-    assert validate_bad_path(g, view, bp) == []
+    assert validate_bad_path(g, trace, view, bp) == []
     while True:
         z = find_z(g, trace, view, bp)
         nxt = reduce_bad_path(g, view, bp, z)
@@ -50,7 +160,7 @@ def staged_extract(g, trace, failure, stats=None):
             assert verify_obstruction(g, ob)
             return ob
         assert nxt.index < bp.index
-        assert validate_bad_path(g, view, nxt) == []
+        assert validate_bad_path(g, trace, view, nxt) == []
         if stats is not None:
             stats["extra_rounds"] += 1
             if nxt.chord_mid is not None:
@@ -256,16 +366,16 @@ class TestValidatorsCatchCorruption:
         g, trace, res = next(failures(random.Random(2), 1))
         view = build_view(g, trace, res.color)
         bp = initial_bad_path(g, view, res)
-        assert validate_bad_path(g, view, bp) == []
+        assert validate_bad_path(g, trace, view, bp) == []
         assert any("not odd" in pr
-                   for pr in validate_bad_path(g, view, replace(bp, verts=bp.verts[:2])))
+                   for pr in validate_bad_path(g, trace, view, replace(bp, verts=bp.verts[:2])))
         assert any("chord position" in pr or "declared chord" in pr
-                   for pr in validate_bad_path(g, view, replace(bp, chord_mid=1)))
+                   for pr in validate_bad_path(g, trace, view, replace(bp, chord_mid=1)))
         assert any("out of range" in pr
-                   for pr in validate_bad_path(g, view, replace(bp, index=0)))
+                   for pr in validate_bad_path(g, trace, view, replace(bp, index=0)))
         # head must attach strictly inside the prefix
         swapped = replace(bp, verts=(bp.verts[1], bp.verts[0]) + bp.verts[2:])
-        assert validate_bad_path(g, view, swapped) != []
+        assert validate_bad_path(g, trace, view, swapped) != []
 
 
 def test_golden_forced_run():
