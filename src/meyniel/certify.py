@@ -102,9 +102,11 @@ def verify_coloring(g: Graph, coloring) -> Verdict:
         missing = set(range(1, k + 1)) - set(cols)
         if missing:
             return _bad(f"colors not contiguous: {min(missing)} unused below {k}")
-    for u, v in g.edges():
-        if cols[u] == cols[v]:
-            return _bad(f"edge {u}-{v} is monochromatic (color {cols[u]})")
+    for u in range(g.n):
+        cu = cols[u]
+        for v in g.neighbors(u):
+            if v > u and cols[v] == cu:
+                return _bad(f"edge {u}-{v} is monochromatic (color {cu})")
     return _ok()
 
 

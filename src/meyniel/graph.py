@@ -1,14 +1,16 @@
 """Simple undirected graphs: construction, parsing, and seeded generators.
 
-Vertices are 0..n-1.  Adjacency is stored both as per-vertex bitmask rows
-(one Python int per vertex, bit v of row u set iff uv is an edge) and as
-ascending neighbor tuples, so membership tests are O(1) and neighbor
-iteration is cheap.  Graphs are immutable once built.
+Vertices are 0..n-1.  Adjacency is one ascending neighbor tuple per
+vertex: neighbor iteration is a tuple walk and membership is a binary
+search.  Parsing and `build` fill per-vertex lists in one pass over the
+edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
+immutable once built.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -27,24 +29,22 @@ class GraphParseError(GraphInputError):
 class Graph:
     """Immutable simple graph (no loops, no parallel edges)."""
 
-    __slots__ = ("n", "m", "_rows", "_nbrs")
+    __slots__ = ("n", "m", "_nbrs")
 
-    def __init__(self, n: int, rows: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self._rows = rows
+    def __init__(self, nbrs: tuple[tuple[int, ...], ...]):
+        """`nbrs[v]` must be v's neighbors, ascending, symmetric, loop-free."""
+        self.n = len(nbrs)
         self._nbrs = nbrs
-        self.m = sum(len(a) for a in nbrs) // 2
+        self.m = sum(map(len, nbrs)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self._rows[u] >> v) & 1 == 1
+        a = self._nbrs[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
         return self._nbrs[v]
-
-    def neighbor_mask(self, v: int) -> int:
-        """Neighbors of v as a bitmask int."""
-        return self._rows[v]
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])
@@ -57,28 +57,36 @@ class Graph:
         """Induced subgraph on `verts` plus the old-vertex map.
 
         Returns (h, old_of) where h has len(verts) vertices and old_of[i]
-        is the original label of h's vertex i.  `verts` must be distinct.
+        is the original label of h's vertex i.  `verts` must be distinct
+        vertices of this graph.
         """
         old_of = sorted(verts)
         if len(set(old_of)) != len(old_of):
             raise GraphInputError("subgraph vertices must be distinct")
+        if old_of and not (0 <= old_of[0] and old_of[-1] < self.n):
+            raise GraphInputError(f"subgraph vertices must be in 0..{self.n - 1}")
         pos = {old: i for i, old in enumerate(old_of)}
-        es = []
-        for i, old in enumerate(old_of):
-            for w in self._nbrs[old]:
-                j = pos.get(w)
-                if j is not None and i < j:
-                    es.append((i, j))
-        return build(len(old_of), es), tuple(old_of)
+        # old_of is ascending, so pos is monotone and each kept tuple
+        # stays ascending and duplicate-free: no re-sort, no re-check
+        nbrs = self._nbrs
+        h = Graph(tuple(tuple([pos[w] for w in nbrs[old] if w in pos]) for old in old_of))
+        return h, tuple(old_of)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._rows == other._rows
+        return isinstance(other, Graph) and self._nbrs == other._nbrs
 
     def __hash__(self) -> int:
-        return hash((self.n, self._rows))
+        return hash(self._nbrs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _freeze(adj: list) -> Graph:
+    # in place, so each list is freed as soon as its tuple exists
+    for v, a in enumerate(adj):
+        adj[v] = tuple(sorted(set(a)))
+    return Graph(tuple(adj))
 
 
 def build(n: int, edges) -> Graph:
@@ -88,24 +96,16 @@ def build(n: int, edges) -> Graph:
     """
     if n < 0:
         raise GraphInputError(f"vertex count must be >= 0, got {n}")
-    rows = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphInputError(f"self-loop at vertex {u}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    nbrs = tuple(tuple(_bits(r)) for r in rows)
-    return Graph(n, tuple(rows), nbrs)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        adj[u].append(v)
+        adj[v].append(u)
+    return _freeze(adj)
 
 
 def parse(text: str, fmt: str = "dimacs") -> Graph:
@@ -123,15 +123,33 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
 
 
 def _parse_dimacs(text: str) -> Graph:
-    n = None
-    edges = []
+    n = 0
+    adj = None  # per-vertex neighbor lists, created by the problem line
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
+        tag = parts[0]
+        if tag == "e":
+            if adj is None:
+                raise GraphParseError(ln, "edge before problem line")
+            if len(parts) != 3:
+                raise GraphParseError(ln, f"expected 'e <u> <v>', got {raw.strip()!r}")
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
+            if u == v:
+                raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
+            adj[u].append(v)
+            adj[v].append(u)
+        elif tag.startswith("c"):
+            continue
+        elif tag == "p":
+            line = raw.strip()
+            if adj is not None:
                 raise GraphParseError(ln, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
@@ -142,36 +160,36 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError(ln, f"bad problem line {line!r}") from None
             if n < 0:
                 raise GraphParseError(ln, f"negative vertex count {n}")
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphParseError(ln, "edge before problem line")
-            if len(parts) != 3:
-                raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphParseError(ln, f"bad edge line {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(ln, f"endpoint out of range in {line!r}")
-            if u == v:
-                raise GraphParseError(ln, f"self-loop in {line!r}")
-            edges.append((u - 1, v - 1))
+            adj = [[] for _ in range(n)]
         else:
-            raise GraphParseError(ln, f"unrecognized line {line!r}")
-    if n is None:
+            raise GraphParseError(ln, f"unrecognized line {raw.strip()!r}")
+    if adj is None:
         raise GraphParseError(1, "missing problem line")
-    return build(n, edges)
+    return _freeze(adj)
 
 
 def _parse_edgelist(text: str) -> Graph:
-    n = None
-    edges = []
+    n = 0
+    adj = None  # per-vertex neighbor lists, created by the count line
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if n is None:
+        if adj is not None and len(parts) == 2:
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
+            if u == v:
+                raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
+            adj[u].append(v)
+            adj[v].append(u)
+        elif adj is not None:
+            raise GraphParseError(ln, f"expected '<u> <v>', got {raw.strip()!r}")
+        else:
+            line = raw.strip()
             if len(parts) != 1:
                 raise GraphParseError(ln, f"expected vertex count, got {line!r}")
             try:
@@ -180,21 +198,10 @@ def _parse_edgelist(text: str) -> Graph:
                 raise GraphParseError(ln, f"bad vertex count {line!r}") from None
             if n < 0:
                 raise GraphParseError(ln, f"negative vertex count {n}")
-            continue
-        if len(parts) != 2:
-            raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(ln, f"bad edge line {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(ln, f"endpoint out of range in {line!r}")
-        if u == v:
-            raise GraphParseError(ln, f"self-loop in {line!r}")
-        edges.append((u, v))
-    if n is None:
+            adj = [[] for _ in range(n)]
+    if adj is None:
         raise GraphParseError(1, "empty input")
-    return build(n, edges)
+    return _freeze(adj)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -281,11 +288,18 @@ def generate(spec: GenSpec) -> Graph:
 def _gnp(n: int, p: float, seed: int) -> Graph:
     import numpy as np  # imported here: only `gen` needs it, and it dominates import time
 
+    # One row of the n x n uniform matrix at a time: the Generator yields
+    # the same stream in row-sized draws, so graphs match the full-matrix
+    # draw bit for bit in O(n) floats.  Row u keeps its entries above u.
     rng = np.random.default_rng(seed)
-    mat = rng.random((n, n)) < p
-    iu = np.triu_indices(n, k=1)
-    us, vs = iu[0][mat[iu]], iu[1][mat[iu]]
-    return build(n, zip(us.tolist(), vs.tolist()))
+
+    def edges():
+        for u in range(n):
+            row = rng.random(n)
+            for v in np.flatnonzero(row[u + 1:] < p).tolist():
+                yield u, u + 1 + v
+
+    return build(n, edges())
 
 
 def _bipartite(n: int, p: float, seed: int) -> Graph:
@@ -293,9 +307,13 @@ def _bipartite(n: int, p: float, seed: int) -> Graph:
 
     left = n // 2
     rng = np.random.default_rng(seed)
-    mat = rng.random((left, n - left)) < p
-    us, vs = np.nonzero(mat)
-    return build(n, zip(us.tolist(), (vs + left).tolist()))
+
+    def edges():
+        for u in range(left):
+            for v in np.flatnonzero(rng.random(n - left) < p).tolist():
+                yield u, left + v
+
+    return build(n, edges())
 
 
 def _chordal(n: int, p: float, seed: int) -> Graph:

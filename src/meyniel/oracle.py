@@ -8,7 +8,7 @@ where exhaustive search stops being comfortable, not hard walls.
 
 from __future__ import annotations
 
-from .graph import Graph, _bits
+from .graph import Graph
 
 
 class OracleSizeError(ValueError):
@@ -18,6 +18,21 @@ class OracleSizeError(ValueError):
 def _guard(g: Graph, limit: int, what: str) -> None:
     if g.n > limit:
         raise OracleSizeError(f"{what} is limited to {limit} vertices, got {g.n}")
+
+
+def _neighbor_mask(g: Graph, v: int) -> int:
+    """Neighbors of v as a bitmask int (bit u set iff uv is an edge)."""
+    mask = 0
+    for u in g.neighbors(v):
+        mask |= 1 << u
+    return mask
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def chromatic_bf(g: Graph) -> int:
@@ -59,7 +74,7 @@ def omega_bf(g: Graph) -> int:
     _guard(g, 20, "omega_bf")
     if g.n == 0:
         return 0
-    rows = [g.neighbor_mask(v) for v in range(g.n)]
+    rows = [_neighbor_mask(g, v) for v in range(g.n)]
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -82,7 +97,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     _guard(g, 30, "maximal_cliques")
     if g.n == 0:
         return []
-    rows = [g.neighbor_mask(v) for v in range(g.n)]
+    rows = [_neighbor_mask(g, v) for v in range(g.n)]
     out: list[tuple[int, ...]] = []
 
     def bk(r: int, p: int, x: int) -> None:

@@ -4,7 +4,7 @@ from bisect import insort
 
 import hypothesis.strategies as st
 
-from meyniel.graph import Graph, build
+from meyniel.graph import Graph, GraphInputError, GraphParseError, build
 from meyniel.lexcolor import ColorTrace, ForcedOrderError, TieBreak
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
 
@@ -127,3 +127,117 @@ def quadratic_nice_check(g: Graph, order) -> NiceCheckWitness | None:
                     if g.has_edge(a, b):
                         return NiceCheckWitness(index=i, a=a, b=b)
     return None
+
+
+def _reference_build(n: int, edges) -> tuple[int, list[tuple[int, int]]]:
+    """The bigint-row build: one n-bit int per vertex, read back bit by bit.
+
+    Returns (n, edges with u < v in lexicographic order).
+    """
+    if n < 0:
+        raise GraphInputError(f"vertex count must be >= 0, got {n}")
+    rows = [0] * n
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return n, [(u, v) for u in range(n) for v in _reference_bits(rows[u]) if u < v]
+
+
+def _reference_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_parse(text: str, fmt: str) -> tuple[int, list[tuple[int, int]]]:
+    """Reference parser: collect an edge list, then build from bigint rows.
+
+    Same accepted texts, errors, line numbers and messages as
+    `meyniel.graph.parse`, which fills neighbor lists in a single pass;
+    the tests compare the two on generated text.
+    """
+    if fmt == "dimacs":
+        return _reference_parse_dimacs(text)
+    return _reference_parse_edgelist(text)
+
+
+def _reference_parse_dimacs(text: str):
+    n = None
+    edges = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise GraphParseError(ln, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
+            try:
+                n = int(parts[2])
+                int(parts[3])
+            except ValueError:
+                raise GraphParseError(ln, f"bad problem line {line!r}") from None
+            if n < 0:
+                raise GraphParseError(ln, f"negative vertex count {n}")
+        elif parts[0] == "e":
+            if n is None:
+                raise GraphParseError(ln, "edge before problem line")
+            if len(parts) != 3:
+                raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphParseError(ln, f"bad edge line {line!r}") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphParseError(ln, f"endpoint out of range in {line!r}")
+            if u == v:
+                raise GraphParseError(ln, f"self-loop in {line!r}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise GraphParseError(ln, f"unrecognized line {line!r}")
+    if n is None:
+        raise GraphParseError(1, "missing problem line")
+    return _reference_build(n, edges)
+
+
+def _reference_parse_edgelist(text: str):
+    n = None
+    edges = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 1:
+                raise GraphParseError(ln, f"expected vertex count, got {line!r}")
+            try:
+                n = int(parts[0])
+            except ValueError:
+                raise GraphParseError(ln, f"bad vertex count {line!r}") from None
+            if n < 0:
+                raise GraphParseError(ln, f"negative vertex count {n}")
+            continue
+        if len(parts) != 2:
+            raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(ln, f"bad edge line {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(ln, f"endpoint out of range in {line!r}")
+        if u == v:
+            raise GraphParseError(ln, f"self-loop in {line!r}")
+        edges.append((u, v))
+    if n is None:
+        raise GraphParseError(1, "empty input")
+    return _reference_build(n, edges)
+

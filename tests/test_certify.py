@@ -64,6 +64,9 @@ class TestVerifyColoring:
         g = build(3, [(0, 1), (1, 2)])
         v = verify_coloring(g, [2, 2, 1])
         assert not v and "0-1" in v.reason and "monochromatic" in v.reason
+        # several bad edges: the lexicographically first one is reported
+        v = verify_coloring(build(4, [(2, 3), (1, 2), (0, 3)]), [1, 2, 2, 1])
+        assert v.reason == "edge 0-3 is monochromatic (color 1)"
 
     def test_empty_graph(self):
         assert verify_coloring(build(0, []), [])

@@ -1,5 +1,8 @@
+import hashlib
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.graph import (
@@ -12,7 +15,7 @@ from meyniel.graph import (
     to_dimacs,
 )
 
-from conftest import graphs
+from conftest import graphs, reference_parse
 
 
 def test_build_basic():
@@ -43,6 +46,17 @@ def test_subgraph_relabels():
     assert sub.edges() == [(0, 1), (1, 2)]
     with pytest.raises(GraphInputError):
         g.subgraph([1, 1])
+    for bad in ([-1, 0], [5]):
+        with pytest.raises(GraphInputError):
+            g.subgraph(bad)
+
+
+@given(graphs(max_n=10), st.data())
+def test_subgraph_matches_rebuild(g, data):
+    verts = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True, max_size=g.n))
+    sub, old = g.subgraph(verts)
+    k = len(old)
+    assert sub == build(k, [(i, j) for i in range(k) for j in range(i + 1, k) if g.has_edge(old[i], old[j])])
 
 
 def test_parse_dimacs_roundtrip():
@@ -115,9 +129,101 @@ def test_builtin_shapes():
         assert s.has_edge(a, b) and s.has_edge(a, c) and s.has_edge(b, c)
 
 
-@given(graphs(max_n=8), st.integers(0, 7))
-def test_neighbor_mask_matches_neighbors(g, v):
-    if v >= g.n:
+# sha256 of to_dimacs(generate(spec)), taken when gnp and bipartite still
+# drew the whole n x n matrix at once; row-by-row draws must not change them
+GENERATED_SHA256 = [
+    (GenSpec("gnp", n=0, p=0.5, seed=0), "b18efc2666c663cba2fb1c2b37a5a0c8c18a8489374194e7415afccd6fe2d355"),
+    (GenSpec("gnp", n=1, p=0.5, seed=3), "8d8fcdfafbd591f3b2b1a1ad6b6570c756c07b7a276fc8b08032bdc8152048e0"),
+    (GenSpec("gnp", n=30, p=0.4, seed=9), "7fa35ec0ee2e83915ee752c242ed8ad6f3f161877d3d9fb08c3f9eb207b38f03"),
+    (GenSpec("gnp", n=200, p=0.1, seed=7), "bba3e542312b5663e7bbccf799dbdb44f3eba3828efa178a99156dd353d7ca89"),
+    (GenSpec("gnp", n=57, p=0.9, seed=123), "7fc4f183a94f192a81fe02f4c44c58402c96cd76ae212fa27d355ee1138a95c8"),
+    (GenSpec("bipartite", n=1, p=0.5, seed=1), "8d8fcdfafbd591f3b2b1a1ad6b6570c756c07b7a276fc8b08032bdc8152048e0"),
+    (GenSpec("bipartite", n=9, p=0.5, seed=1), "64ed6620a4079cef6b5d3026caa404bf2f55fa25fb0daae982df49341c275865"),
+    (GenSpec("bipartite", n=101, p=0.3, seed=42), "a3491d08ec77302a747a318a9583cf3369bd0fcc6f768536ab24a462ec2297f3"),
+    (GenSpec("bipartite", n=60, p=0.7, seed=5), "0e45b39361d8fcbcaae37faded9767bb4647419a98b96e8ac59a5aa1c9dd1150"),
+]
+
+
+def test_generated_graphs_are_pinned():
+    for spec, digest in GENERATED_SHA256:
+        assert hashlib.sha256(to_dimacs(generate(spec)).encode()).hexdigest() == digest, spec
+
+
+FAULTS = ("none", "arity", "bad int", "range", "loop", "junk", "header", "twice", "missing", "late", "empty")
+
+
+def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str) -> str:
+    """A graph text: well formed, then with `fault` injected.
+
+    Well-formed texts carry comments (dimacs), blank lines, duplicate and
+    reversed edges, `+3` and `03` ints, and random spacing with tabs.
+    """
+    base = 1 if fmt == "dimacs" else 0
+    tag = ["e"] if fmt == "dimacs" else []
+
+    def num(k):
+        return rng.choice([str(k)] * 3 + [f"+{k}", f"0{k}"])
+
+    header = ["p", "edge", str(n), num(rng.randint(0, 9))] if fmt == "dimacs" else [str(n)]
+    lines = [header]
+    for _ in range(rng.randint(0, 60)):
+        kind = rng.choice(["edge"] * 6 + ["blank", "comment"])
+        if kind == "edge" and n >= 2:
+            u, v = rng.sample(range(base, n + base), 2)
+            lines.append(tag + [num(u), num(v)])
+        elif kind == "comment" and fmt == "dimacs":
+            lines.append(rng.choice([["c"], ["c", "e", "1", "1"], ["comment"], ["cx", "1"]]))
+        else:
+            lines.append([])
+    at = rng.randint(1, len(lines))
+    if fault == "arity":
+        lines.insert(at, rng.choice([tag, tag + ["1"], tag + ["1", "2", "3"]]))
+    elif fault == "bad int":
+        lines.insert(at, tag + rng.sample(["1", rng.choice(["x", "1.5", "--1", "0x1"])], 2))
+    elif fault == "range":
+        k = rng.choice([base - 1, n + base, n + base + 1])
+        lines.insert(at, tag + rng.sample([str(k), rng.choice([str(base), str(k)])], 2))
+    elif fault == "loop":
+        lines.insert(at, tag + [str(base)] * 2)
+    elif fault == "junk":
+        lines.insert(at, rng.choice([["x", "1", "2"], ["E", "1", "2"], ["p"]]))
+    elif fault == "header":
+        bad = [["p", "edge", "x", "0"], ["p", "edge", "3", "y"], ["p", "col", str(n), "0"],
+               ["p", "edge", str(n)], ["p", "edge", "-2", "0"]]
+        lines[0] = rng.choice(bad if fmt == "dimacs" else [["-2"], ["x"], [str(n), "4"]])
+    elif fault == "twice":
+        lines.insert(at, header)
+    elif fault == "missing":
+        lines.pop(0)
+    elif fault == "late":
+        lines.insert(at, lines.pop(0))
+    elif fault == "empty":
+        lines = [t for t in lines[1:] if not t or t[0].startswith("c")]
+    space = ["", "", " ", "\t", "  ", " \t "]
+    sep = rng.choice([" ", "\t", "  "])
+    return "".join(rng.choice(space) + sep.join(t) + rng.choice(space) + newline for t in lines)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(["dimacs", "edgelist"]),
+    st.integers(0, 50),
+    st.sampled_from(("none",) * 3 + FAULTS),
+    st.sampled_from(["\n", "\r\n"]),
+    st.randoms(use_true_random=True),
+)
+def test_parse_matches_reference(fmt, n, fault, newline, rng):
+    text = graph_text(rng, fmt, n, fault, newline)
+    try:
+        want = reference_parse(text, fmt)
+    except GraphInputError as exc:
+        with pytest.raises(GraphInputError) as got:
+            parse(text, fmt)
+        assert type(got.value) is type(exc)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         return
-    mask = g.neighbor_mask(v)
-    assert [u for u in range(g.n) if mask >> u & 1] == list(g.neighbors(v))
+    g = parse(text, fmt)
+    assert (g.n, g.edges()) == want
+    for u in range(g.n):
+        nbrs = set(g.neighbors(u))
+        assert all(g.has_edge(u, v) == (v in nbrs) for v in range(g.n))

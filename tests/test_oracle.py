@@ -3,10 +3,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from meyniel.graph import build, generate, GenSpec
 from meyniel.oracle import (
     OracleSizeError,
+    _bits,
+    _neighbor_mask,
     chromatic_bf,
     is_meyniel_bf,
     is_stable_set,
@@ -158,3 +161,12 @@ def test_size_guards():
         is_strong_stable_set(build(31, []), [])
     with pytest.raises(OracleSizeError):
         is_meyniel_bf(build(11, []))
+
+
+@given(graphs(max_n=8), st.integers(0, 7))
+def test_neighbor_mask_matches_neighbors(g, v):
+    if v >= g.n:
+        return
+    mask = _neighbor_mask(g, v)
+    assert [u for u in range(g.n) if mask >> u & 1] == list(g.neighbors(v))
+    assert list(_bits(mask)) == list(g.neighbors(v))
