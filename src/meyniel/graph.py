@@ -5,6 +5,13 @@ vertex: neighbor iteration is a tuple walk and membership is a binary
 search.  Parsing and `build` fill per-vertex lists in one pass over the
 edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
 immutable once built.
+
+The parsers stream the text: they split one slice of about 64 KiB at a
+time, so only one slice's lines exist at once, and they intern endpoint
+tokens.  A token seen before costs one dict lookup, and every occurrence
+of it shares one int object in the neighbor tuples.  The token dict
+lives until the graph is built; it is largest when every token is
+distinct, as in a perfect matching.
 """
 
 from __future__ import annotations
@@ -37,16 +44,25 @@ class Graph:
         self._nbrs = nbrs
         self.m = sum(map(len, nbrs)) // 2
 
+    # A negative vertex would index `_nbrs` from the end and answer for
+    # another vertex: reject it with IndexError, like one >= n
+
     def has_edge(self, u: int, v: int) -> bool:
+        if u < 0:
+            raise IndexError(f"vertex {u} out of range")
         a = self._nbrs[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
         return self._nbrs[v]
 
     def degree(self, v: int) -> int:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
         return len(self._nbrs[v])
 
     def edges(self) -> list[tuple[int, int]]:
@@ -122,47 +138,74 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     raise GraphInputError(f"unknown format {fmt!r}")
 
 
+# Parsers split the text one slice at a time: each slice ends just after
+# a "\n" about every _SLICE characters.  A cut after "\n" is also a
+# `str.splitlines` boundary, so lines and line numbers match splitting
+# the whole text, without holding every line at once.
+_SLICE = 1 << 16
+
+
+def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) -> tuple[int, int]:
+    """0-based endpoints of tokens a, b of which at least one is new to `tok`.
+
+    Checks as every edge line once did: bad int, then out of range.
+    Only tokens that pass are stored, so later lines find them in `tok`.
+    """
+    try:
+        u, v = int(a) - base, int(b) - base
+    except ValueError:
+        raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
+    return tok.setdefault(a, u), tok.setdefault(b, v)
+
+
 def _parse_dimacs(text: str) -> Graph:
     n = 0
     adj = None  # per-vertex neighbor lists, created by the problem line
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "e":
-            if adj is None:
-                raise GraphParseError(ln, "edge before problem line")
-            if len(parts) != 3:
-                raise GraphParseError(ln, f"expected 'e <u> <v>', got {raw.strip()!r}")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
-            if u == v:
-                raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
-            adj[u].append(v)
-            adj[v].append(u)
-        elif tag.startswith("c"):
-            continue
-        elif tag == "p":
-            line = raw.strip()
-            if adj is not None:
-                raise GraphParseError(ln, "duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
-            try:
-                n = int(parts[2])
-                int(parts[3])
-            except ValueError:
-                raise GraphParseError(ln, f"bad problem line {line!r}") from None
-            if n < 0:
-                raise GraphParseError(ln, f"negative vertex count {n}")
-            adj = [[] for _ in range(n)]
-        else:
-            raise GraphParseError(ln, f"unrecognized line {raw.strip()!r}")
+    tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
+    get = tok.get
+    ln = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        for ln, raw in enumerate(text[start:cut].splitlines(), ln + 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "e":
+                if adj is None:
+                    raise GraphParseError(ln, "edge before problem line")
+                if len(parts) != 3:
+                    raise GraphParseError(ln, f"expected 'e <u> <v>', got {raw.strip()!r}")
+                _, a, b = parts
+                u = get(a)
+                v = get(b)
+                if u is None or v is None:
+                    u, v = _endpoints(tok, a, b, 1, n, ln, raw)
+                if u == v:
+                    raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
+                adj[u].append(v)
+                adj[v].append(u)
+            elif tag.startswith("c"):
+                continue
+            elif tag == "p":
+                line = raw.strip()
+                if adj is not None:
+                    raise GraphParseError(ln, "duplicate problem line")
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
+                try:
+                    n = int(parts[2])
+                    int(parts[3])
+                except ValueError:
+                    raise GraphParseError(ln, f"bad problem line {line!r}") from None
+                if n < 0:
+                    raise GraphParseError(ln, f"negative vertex count {n}")
+                adj = [[] for _ in range(n)]
+            else:
+                raise GraphParseError(ln, f"unrecognized line {raw.strip()!r}")
+        start = cut
     if adj is None:
         raise GraphParseError(1, "missing problem line")
     return _freeze(adj)
@@ -171,34 +214,39 @@ def _parse_dimacs(text: str) -> Graph:
 def _parse_edgelist(text: str) -> Graph:
     n = 0
     adj = None  # per-vertex neighbor lists, created by the count line
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if adj is not None and len(parts) == 2:
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
-            if u == v:
-                raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
-            adj[u].append(v)
-            adj[v].append(u)
-        elif adj is not None:
-            raise GraphParseError(ln, f"expected '<u> <v>', got {raw.strip()!r}")
-        else:
-            line = raw.strip()
-            if len(parts) != 1:
-                raise GraphParseError(ln, f"expected vertex count, got {line!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise GraphParseError(ln, f"bad vertex count {line!r}") from None
-            if n < 0:
-                raise GraphParseError(ln, f"negative vertex count {n}")
-            adj = [[] for _ in range(n)]
+    tok: dict[str, int] = {}  # endpoint token -> vertex
+    get = tok.get
+    ln = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        for ln, raw in enumerate(text[start:cut].splitlines(), ln + 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if adj is not None and len(parts) == 2:
+                a, b = parts
+                u = get(a)
+                v = get(b)
+                if u is None or v is None:
+                    u, v = _endpoints(tok, a, b, 0, n, ln, raw)
+                if u == v:
+                    raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
+                adj[u].append(v)
+                adj[v].append(u)
+            elif adj is not None:
+                raise GraphParseError(ln, f"expected '<u> <v>', got {raw.strip()!r}")
+            else:
+                line = raw.strip()
+                if len(parts) != 1:
+                    raise GraphParseError(ln, f"expected vertex count, got {line!r}")
+                try:
+                    n = int(parts[0])
+                except ValueError:
+                    raise GraphParseError(ln, f"bad vertex count {line!r}") from None
+                if n < 0:
+                    raise GraphParseError(ln, f"negative vertex count {n}")
+                adj = [[] for _ in range(n)]
+        start = cut
     if adj is None:
         raise GraphParseError(1, "empty input")
     return _freeze(adj)

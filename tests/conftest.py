@@ -158,8 +158,10 @@ def _reference_bits(mask: int):
 def reference_parse(text: str, fmt: str) -> tuple[int, list[tuple[int, int]]]:
     """Reference parser: collect an edge list, then build from bigint rows.
 
-    Same accepted texts, errors, line numbers and messages as
-    `meyniel.graph.parse`, which fills neighbor lists in a single pass;
+    Splits the whole text at once and runs `int()` and the range check
+    on every endpoint.  Same accepted texts, errors, line numbers and
+    messages as `meyniel.graph.parse`, which splits one slice at a time,
+    interns endpoint tokens and fills neighbor lists in a single pass;
     the tests compare the two on generated text.
     """
     if fmt == "dimacs":

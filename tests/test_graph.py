@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from meyniel import graph
 from meyniel.graph import (
     GenSpec,
     GraphInputError,
@@ -27,6 +28,17 @@ def test_build_basic():
     assert g.neighbors(1) == (0, 2)
     assert g.degree(3) == 0
     assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_negative_vertex_raises_index_error():
+    g = build(3, [(0, 2)])
+    for v in (-1, -3, 3):
+        with pytest.raises(IndexError):
+            g.has_edge(v, 0)
+        with pytest.raises(IndexError):
+            g.neighbors(v)
+        with pytest.raises(IndexError):
+            g.degree(v)
 
 
 def test_build_rejects_bad_input():
@@ -204,16 +216,7 @@ def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str) -
     return "".join(rng.choice(space) + sep.join(t) + rng.choice(space) + newline for t in lines)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(
-    st.sampled_from(["dimacs", "edgelist"]),
-    st.integers(0, 50),
-    st.sampled_from(("none",) * 3 + FAULTS),
-    st.sampled_from(["\n", "\r\n"]),
-    st.randoms(use_true_random=True),
-)
-def test_parse_matches_reference(fmt, n, fault, newline, rng):
-    text = graph_text(rng, fmt, n, fault, newline)
+def _check_against_reference(text: str, fmt: str) -> None:
     try:
         want = reference_parse(text, fmt)
     except GraphInputError as exc:
@@ -227,3 +230,64 @@ def test_parse_matches_reference(fmt, n, fault, newline, rng):
     for u in range(g.n):
         nbrs = set(g.neighbors(u))
         assert all(g.has_edge(u, v) == (v in nbrs) for v in range(g.n))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(["dimacs", "edgelist"]),
+    st.integers(0, 50),
+    st.sampled_from(("none",) * 3 + FAULTS),
+    st.sampled_from(["\n", "\r\n", "\r", "\v", "\x1c", " "]),
+    st.sampled_from([1, 2, 7, 64, graph._SLICE]),
+    st.randoms(use_true_random=True),
+)
+def test_parse_matches_reference(fmt, n, fault, newline, slice_size, rng):
+    text = graph_text(rng, fmt, n, fault, newline)
+    saved = graph._SLICE
+    graph._SLICE = slice_size
+    try:
+        _check_against_reference(text, fmt)
+    finally:
+        graph._SLICE = saved
+
+
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@pytest.mark.parametrize("fault", ["none", "bad int", "range", "loop", "arity", "twice"])
+def test_parse_across_many_slices_matches_reference(fmt, fault):
+    # about 30,000 edge lines span several default slices; the fault sits
+    # near the end, so its line number counts lines over every cut
+    rng = random.Random(fmt + fault)
+    n, base = 500, (1 if fmt == "dimacs" else 0)
+    tag = "e " if fmt == "dimacs" else ""
+    lines = ["p edge 500 30000" if fmt == "dimacs" else "500"]
+    for _ in range(30000):
+        u, v = rng.sample(range(base, n + base), 2)
+        lines.append(f"{tag}{u} {v}" + rng.choice(["", " ", "\t"]))
+        if rng.random() < 0.02:
+            lines.append(rng.choice(["", "  ", "c note"] if fmt == "dimacs" else ["", "  "]))
+    bad = {
+        "none": None,
+        "bad int": f"{tag}1 x2",
+        "range": f"{tag}{base} {n + base}",
+        "loop": f"{tag}7 7",
+        "arity": f"{tag}1 2 3",
+        "twice": lines[0],
+    }[fault]
+    if bad is not None:
+        lines.insert(len(lines) - 25, bad)
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 2 * graph._SLICE
+    _check_against_reference(text, fmt)
+
+
+def _edgelist(g) -> str:
+    return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_parse_shares_one_int_per_vertex(fmt):
+    src = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
+    text = to_dimacs(src) if fmt == "dimacs" else _edgelist(src)
+    g = parse(text, fmt)
+    assert g == src
+    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
