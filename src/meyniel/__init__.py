@@ -21,6 +21,7 @@ from .certify import (
     encode,
     verify_clique,
     verify_coloring,
+    verify_nice_order,
     verify_obstruction,
     verify_optimal_pair,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "to_dimacs",
     "verify_clique",
     "verify_coloring",
+    "verify_nice_order",
     "verify_obstruction",
     "verify_optimal_pair",
 ]

@@ -19,9 +19,9 @@ from .certify import (
     MeynielObstruction,
     NiceStableSetCert,
     OptimalPair,
-    Verdict,
     decode,
     encode,
+    verify_nice_order,
     verify_obstruction,
     verify_optimal_pair,
 )
@@ -47,12 +47,7 @@ def _verified(g: Graph, cert: Certificate) -> Certificate:
     elif isinstance(cert, MeynielObstruction):
         verdict = verify_obstruction(g, cert)
     else:
-        try:
-            witness = nice_check(g, cert.order)
-        except ValueError as exc:  # not distinct, not stable or not maximal
-            verdict = Verdict(False, str(exc))
-        else:
-            verdict = Verdict(witness is None, f"order is not nice: {witness}")
+        verdict = verify_nice_order(g, cert.order)
     if not verdict:
         raise InternalInvariantError(
             f"{type(cert).__name__} failed verification: {verdict.reason}"
@@ -175,19 +170,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", nargs="?", default="-", help="graph file, '-' for stdin")
         p.add_argument("--format", choices=("dimacs", "edgelist"), default="dimacs")
 
-    p = sub.add_parser("solve", help="color the graph or produce an obstruction")
-    add_graph_args(p)
-    p.add_argument("--order", help="comma-separated vertex order to force")
-    p.add_argument("--out", help="write the certificate here instead of stdout")
+    solve = sub.add_parser("solve", help="color the graph or produce an obstruction")
+    add_graph_args(solve)
+    solve.add_argument("--order", help="comma-separated vertex order to force")
 
-    p = sub.add_parser("stableset", help="nice stable set through a vertex, or obstruction")
-    add_graph_args(p)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--out", help="write the certificate here instead of stdout")
+    stable = sub.add_parser("stableset", help="nice stable set through a vertex, or obstruction")
+    add_graph_args(stable)
+    stable.add_argument("--vertex", type=int, required=True)
 
-    p = sub.add_parser("colorbystable", help="color by stripping nice stable sets")
-    add_graph_args(p)
-    p.add_argument("--out", help="write the certificate here instead of stdout")
+    by_stable = sub.add_parser("colorbystable", help="color by stripping nice stable sets")
+    add_graph_args(by_stable)
+
+    for p in (solve, stable, by_stable):  # the commands that write a certificate
+        p.add_argument("--out", help="write the certificate here instead of stdout")
 
     p = sub.add_parser("verify", help="re-check a certificate against a graph")
     add_graph_args(p)
@@ -219,28 +214,6 @@ def main(argv=None) -> int:
 
         g = _read_graph(args.graph, getattr(args, "format", "dimacs"))
 
-        if args.command == "solve":
-            tb = None
-            if args.order is not None:
-                order = tuple(int(tok) for tok in args.order.split(","))
-                tb = TieBreak.forced(order)
-            cert = robust_solve(g, tb)
-            print(_summary(cert))
-            _write_cert(cert, args.out)
-            return 0
-
-        if args.command == "stableset":
-            cert = robust_stable_set(g, args.vertex)
-            print(_summary(cert))
-            _write_cert(cert, args.out)
-            return 0
-
-        if args.command == "colorbystable":
-            cert = color_via_stable_sets(g)
-            print(_summary(cert))
-            _write_cert(cert, args.out)
-            return 0
-
         if args.command == "verify":
             with open(args.cert, "rb") as fh:
                 data = fh.read()
@@ -260,6 +233,20 @@ def main(argv=None) -> int:
             else:
                 print("meyniel" if is_meyniel_bf(g) else "not_meyniel")
             return 0
+
+        if args.command == "solve":
+            tb = None
+            if args.order is not None:
+                order = tuple(int(tok) for tok in args.order.split(","))
+                tb = TieBreak.forced(order)
+            cert = robust_solve(g, tb)
+        elif args.command == "stableset":
+            cert = robust_stable_set(g, args.vertex)
+        else:
+            cert = color_via_stable_sets(g)
+        print(_summary(cert))
+        _write_cert(cert, args.out)
+        return 0
     except (InternalInvariantError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -269,7 +256,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
 
 
 if __name__ == "__main__":

@@ -181,6 +181,19 @@ def verify_obstruction(g: Graph, ob: MeynielObstruction) -> Verdict:
     return _ok()
 
 
+def verify_nice_order(g: Graph, order) -> Verdict:
+    """A maximal stable set listed in a nice order."""
+    try:
+        witness = nice_check(g, order)
+    except ValueError as exc:  # not distinct, not stable or not maximal
+        return _bad(str(exc))
+    if witness is None:
+        return _ok()
+    return _bad(
+        f"order is not nice: witness pair {witness.a},{witness.b} at position {witness.index}"
+    )
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -251,13 +264,7 @@ def decode(g: Graph, data: bytes | str) -> Certificate:
     elif kind == "nice_stable_set":
         _require_keys(doc, "order")
         cert = NiceStableSetCert(order=_int_list(doc, "order"))
-        try:
-            witness = nice_check(g, cert.order)
-        except ValueError as exc:  # not distinct, not stable or not maximal
-            raise CertificateInvalidError(str(exc)) from exc
-        verdict = _ok() if witness is None else _bad(
-            f"order is not nice: witness pair {witness.a},{witness.b} at position {witness.index}"
-        )
+        verdict = verify_nice_order(g, cert.order)
     else:
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
     if not verdict:

@@ -6,12 +6,14 @@ search.  Parsing and `build` fill per-vertex lists in one pass over the
 edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
 immutable once built.
 
-The parsers stream the text: they split one slice of about 64 KiB at a
-time, so only one slice's lines exist at once, and they intern endpoint
-tokens.  A token seen before costs one dict lookup, and every occurrence
-of it shares one int object in the neighbor tuples.  The token dict
-lives until the graph is built; it is largest when every token is
-distinct, as in a perfect matching.
+One streaming loop parses both text formats.  It splits one slice of
+about 64 KiB at a time, so only one slice's lines exist at once.  Its
+hot branch takes edge lines and interns their endpoint tokens: a token
+seen before costs one dict lookup, and every occurrence of it shares one
+int object in the neighbor tuples.  Every other line (header, comment,
+blank or malformed) goes to one cold helper.  The token dict lives until
+the graph is built; it is largest when every token is distinct, as in a
+perfect matching.
 """
 
 from __future__ import annotations
@@ -131,10 +133,8 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     "c ..." lines are comments.  edgelist: first non-blank line is "<n>",
     then "<u> <v>" lines (0-based); blank lines are ignored.
     """
-    if fmt == "dimacs":
-        return _parse_dimacs(text)
-    if fmt == "edgelist":
-        return _parse_edgelist(text)
+    if fmt in ("dimacs", "edgelist"):
+        return _parse(text, fmt == "dimacs")
     raise GraphInputError(f"unknown format {fmt!r}")
 
 
@@ -160,9 +160,14 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse_dimacs(text: str) -> Graph:
+def _parse(text: str, dimacs: bool) -> Graph:
+    """Both formats in one pass: edge lines take the hot branch, the rest `_other_line`."""
+    edgelist = not dimacs
+    base = 1 if dimacs else 0  # index of an edge line's first endpoint, and number of vertex 0
+    last = base + 1
     n = 0
-    adj = None  # per-vertex neighbor lists, created by the problem line
+    adj = None  # per-vertex neighbor lists, created by the header line
+    width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
     ln = start = 0
@@ -170,86 +175,61 @@ def _parse_dimacs(text: str) -> Graph:
         cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
         for ln, raw in enumerate(text[start:cut].splitlines(), ln + 1):
             parts = raw.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "e":
-                if adj is None:
-                    raise GraphParseError(ln, "edge before problem line")
-                if len(parts) != 3:
-                    raise GraphParseError(ln, f"expected 'e <u> <v>', got {raw.strip()!r}")
-                _, a, b = parts
-                u = get(a)
-                v = get(b)
+            if len(parts) == width and (edgelist or parts[0] == "e"):
+                a, b = parts[base], parts[last]
+                u, v = get(a), get(b)
                 if u is None or v is None:
-                    u, v = _endpoints(tok, a, b, 1, n, ln, raw)
+                    u, v = _endpoints(tok, a, b, base, n, ln, raw)
                 if u == v:
                     raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
                 adj[u].append(v)
                 adj[v].append(u)
-            elif tag.startswith("c"):
-                continue
-            elif tag == "p":
-                line = raw.strip()
-                if adj is not None:
-                    raise GraphParseError(ln, "duplicate problem line")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
-                try:
-                    n = int(parts[2])
-                    int(parts[3])
-                except ValueError:
-                    raise GraphParseError(ln, f"bad problem line {line!r}") from None
-                if n < 0:
-                    raise GraphParseError(ln, f"negative vertex count {n}")
+            elif (count := _other_line(parts, raw, ln, dimacs, adj is not None)) is not None:
+                n = count
                 adj = [[] for _ in range(n)]
-            else:
-                raise GraphParseError(ln, f"unrecognized line {raw.strip()!r}")
+                width = last + 1
         start = cut
     if adj is None:
-        raise GraphParseError(1, "missing problem line")
+        raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
     return _freeze(adj)
 
 
-def _parse_edgelist(text: str) -> Graph:
-    n = 0
-    adj = None  # per-vertex neighbor lists, created by the count line
-    tok: dict[str, int] = {}  # endpoint token -> vertex
-    get = tok.get
-    ln = start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        for ln, raw in enumerate(text[start:cut].splitlines(), ln + 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if adj is not None and len(parts) == 2:
-                a, b = parts
-                u = get(a)
-                v = get(b)
-                if u is None or v is None:
-                    u, v = _endpoints(tok, a, b, 0, n, ln, raw)
-                if u == v:
-                    raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
-                adj[u].append(v)
-                adj[v].append(u)
-            elif adj is not None:
-                raise GraphParseError(ln, f"expected '<u> <v>', got {raw.strip()!r}")
-            else:
-                line = raw.strip()
-                if len(parts) != 1:
-                    raise GraphParseError(ln, f"expected vertex count, got {line!r}")
-                try:
-                    n = int(parts[0])
-                except ValueError:
-                    raise GraphParseError(ln, f"bad vertex count {line!r}") from None
-                if n < 0:
-                    raise GraphParseError(ln, f"negative vertex count {n}")
-                adj = [[] for _ in range(n)]
-        start = cut
-    if adj is None:
-        raise GraphParseError(1, "empty input")
-    return _freeze(adj)
+def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool) -> int | None:
+    """The vertex count of a header line, None for a blank or comment line; else raise.
+
+    `started` says a header was already read.
+    """
+    if not parts:
+        return None
+    line = raw.strip()
+    if dimacs:
+        tag = parts[0]
+        if tag == "e":
+            raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}" if started
+                                  else "edge before problem line")
+        if tag.startswith("c"):
+            return None
+        if tag != "p":
+            raise GraphParseError(ln, f"unrecognized line {line!r}")
+        if started:
+            raise GraphParseError(ln, "duplicate problem line")
+        if len(parts) != 4 or parts[1] != "edge":
+            raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
+        nums, what = parts[2:], "problem line"  # the edge count must be an int too
+    else:
+        if started:
+            raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")
+        if len(parts) != 1:
+            raise GraphParseError(ln, f"expected vertex count, got {line!r}")
+        nums, what = parts, "vertex count"
+    try:
+        n = int(nums[0])
+        int(nums[-1])
+    except ValueError:
+        raise GraphParseError(ln, f"bad {what} {line!r}") from None
+    if n < 0:
+        raise GraphParseError(ln, f"negative vertex count {n}")
+    return n
 
 
 def to_dimacs(g: Graph) -> str:

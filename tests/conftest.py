@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from meyniel.graph import Graph, GraphInputError, GraphParseError, build
 from meyniel.lexcolor import ColorTrace, ForcedOrderError, TieBreak
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
+from meyniel.oracle import _guard, _neighbor_mask
 
 
 @st.composite
@@ -129,6 +130,69 @@ def quadratic_nice_check(g: Graph, order) -> NiceCheckWitness | None:
     return None
 
 
+def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """All maximal cliques (Bron-Kerbosch with pivoting), up to 30 vertices."""
+    _guard(g, 30, "maximal_cliques")
+    if g.n == 0:
+        return []
+    rows = [_neighbor_mask(g, v) for v in range(g.n)]
+    out: list[tuple[int, ...]] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(tuple(_bits(r)))
+            return
+        pool = p | x
+        piv = -1
+        piv_deg = -1
+        for u in _bits(pool):
+            d = (p & rows[u]).bit_count()
+            if d > piv_deg:
+                piv, piv_deg = u, d
+        ext = p & ~rows[piv]
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            v = bit.bit_length() - 1
+            bk(r | bit, p & rows[v], x & rows[v])
+            p ^= bit
+            x |= bit
+
+    bk(0, (1 << g.n) - 1, 0)
+    return out
+
+
+def is_stable_set(g: Graph, verts) -> bool:
+    vs = list(verts)
+    if len(set(vs)) != len(vs):
+        raise ValueError("repeated vertices")
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    return all(not g.has_edge(u, w) for i, u in enumerate(vs) for w in vs[i + 1:])
+
+
+def is_strong_stable_set(g: Graph, verts) -> bool:
+    """Does this stable set meet every maximal clique?  Up to 30 vertices.
+
+    Raises ValueError when the input is not stable; an empty graph has
+    no maximal cliques to meet, so the empty set qualifies there.
+    """
+    _guard(g, 30, "is_strong_stable_set")
+    if not is_stable_set(g, verts):
+        raise ValueError("input is not a stable set")
+    smask = 0
+    for v in verts:
+        smask |= 1 << v
+    for q in maximal_cliques(g):
+        qmask = 0
+        for v in q:
+            qmask |= 1 << v
+        if smask & qmask == 0:
+            return False
+    return True
+
+
 def _reference_build(n: int, edges) -> tuple[int, list[tuple[int, int]]]:
     """The bigint-row build: one n-bit int per vertex, read back bit by bit.
 
@@ -145,10 +209,10 @@ def _reference_build(n: int, edges) -> tuple[int, list[tuple[int, int]]]:
             raise GraphInputError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return n, [(u, v) for u in range(n) for v in _reference_bits(rows[u]) if u < v]
+    return n, [(u, v) for u in range(n) for v in _bits(rows[u]) if u < v]
 
 
-def _reference_bits(mask: int):
+def _bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

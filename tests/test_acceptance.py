@@ -26,14 +26,9 @@ from meyniel.clique import CliqueComplete, CliqueFailure, greedy_clique
 from meyniel.graph import GenSpec, generate
 from meyniel.lexcolor import TieBreak, lex_color
 from meyniel.niceset import nice_check
-from meyniel.oracle import (
-    chromatic_bf,
-    is_meyniel_bf,
-    is_strong_stable_set,
-    omega_bf,
-)
+from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
-from conftest import all_graphs, naive_lex_color, random_graph
+from conftest import all_graphs, is_strong_stable_set, naive_lex_color, random_graph
 
 
 def report(name, ok, detail=""):

@@ -9,18 +9,21 @@ from hypothesis import given, settings
 
 from meyniel.app import color_via_stable_sets, main, robust_solve, robust_stable_set
 from meyniel.certify import (
+    CertificateInvalidError,
     MeynielObstruction,
     NiceStableSetCert,
     OptimalPair,
     decode,
+    encode,
     verify_obstruction,
 )
+from meyniel.clique import CliqueComplete, greedy_clique
 from meyniel.graph import GenSpec, generate, parse, to_dimacs
 from meyniel.niceset import nice_check
-from meyniel.obstruction import InternalInvariantError
-from meyniel.oracle import chromatic_bf, is_meyniel_bf, is_strong_stable_set, omega_bf
+from meyniel.obstruction import InternalInvariantError, extract_obstruction
+from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
-from conftest import graphs, naive_lex_color
+from conftest import graphs, is_strong_stable_set, naive_lex_color
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -69,6 +72,46 @@ def test_both_strategies_give_same_certificate(monkeypatch):
     certs = [robust_solve(g) for g in gs]
     monkeypatch.setattr("meyniel.app.lex_color", naive_lex_color)
     assert [robust_solve(g) for g in gs] == certs
+
+
+def partial_clique_as_complete(made, g, trace):
+    res = greedy_clique(g, trace)
+    made.append(OptimalPair(coloring=trace.color_of, clique=res.clique))
+    return CliqueComplete(clique=res.clique)
+
+
+def obstruction_with_false_chord(made, g, trace, stuck):
+    cycle = extract_obstruction(g, trace, stuck).cycle
+    made.append(MeynielObstruction(cycle=cycle, chord=(cycle[0], cycle[2])))
+    return made[-1]
+
+
+def every_order_nice(made, g, order):
+    made.append(NiceStableSetCert(order=tuple(order)))
+    return None
+
+
+@pytest.mark.parametrize("target, fake, pipeline", [
+    ("greedy_clique", partial_clique_as_complete, robust_solve),
+    ("extract_obstruction", obstruction_with_false_chord, robust_solve),
+    ("nice_check", every_order_nice, lambda g: robust_stable_set(g, 0)),
+], ids=["OptimalPair", "MeynielObstruction", "NiceStableSetCert"])
+def test_pipeline_rejects_broken_certificate(monkeypatch, target, fake, pipeline):
+    """A stage that hands back a broken certificate trips the boundary check.
+
+    The error carries the reason `decode` gives for the same certificate.
+    On the 7-cycle the clique builder gets stuck and the first color class
+    through vertex 0 is not nice, so each stage is reached.
+    """
+    g = generate(GenSpec(family="cycle", n=7))
+    made = []
+    monkeypatch.setattr(f"meyniel.app.{target}", lambda *args: fake(made, *args))
+    with pytest.raises(InternalInvariantError) as failure:
+        pipeline(g)
+    (cert,) = made
+    with pytest.raises(CertificateInvalidError) as rejection:
+        decode(g, encode(cert))
+    assert str(failure.value) == f"{type(cert).__name__} failed verification: {rejection.value}"
 
 
 def write_graph(tmp_path, g, name="g.col"):

@@ -7,9 +7,8 @@ import hypothesis.strategies as st
 from meyniel.graph import build
 from meyniel.lexcolor import TieBreak, lex_color
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError, nice_check
-from meyniel.oracle import is_strong_stable_set
 
-from conftest import graphs, quadratic_nice_check, random_graph
+from conftest import graphs, is_strong_stable_set, quadratic_nice_check, random_graph
 
 
 def prefix_adjacent(g, order, i, u):

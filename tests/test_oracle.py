@@ -6,19 +6,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.graph import build, generate, GenSpec
-from meyniel.oracle import (
-    OracleSizeError,
+from meyniel.oracle import OracleSizeError, _neighbor_mask, chromatic_bf, is_meyniel_bf, omega_bf
+
+from conftest import (
     _bits,
-    _neighbor_mask,
-    chromatic_bf,
-    is_meyniel_bf,
+    graphs,
     is_stable_set,
     is_strong_stable_set,
     maximal_cliques,
-    omega_bf,
+    random_graph,
 )
-
-from conftest import graphs, random_graph
 
 
 def cycle(n, chords=()):
