@@ -13,10 +13,11 @@ always re-verifies, so a tampered document cannot round-trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .niceset import nice_check
+from .record import record
 
 
 class CertificateFormatError(ValueError):
@@ -27,8 +28,8 @@ class CertificateInvalidError(ValueError):
     """The document parses but fails verification against the graph."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+@record
+class Verdict(NamedTuple):
     """Outcome of a verification: truthy iff ok, else carries a reason."""
 
     ok: bool
@@ -46,8 +47,8 @@ def _bad(reason: str) -> Verdict:
     return Verdict(False, reason)
 
 
-@dataclass(frozen=True)
-class MeynielObstruction:
+@record
+class MeynielObstruction(NamedTuple):
     """An odd cycle of length >= 5 with at most one chord.
 
     `cycle` lists the vertices in cyclic order; `chord` is the single
@@ -58,8 +59,8 @@ class MeynielObstruction:
     chord: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class OptimalPair:
+@record
+class OptimalPair(NamedTuple):
     """A proper coloring, indexed by vertex, and a clique of the same size.
 
     The clique forces at least as many colors as the coloring uses, so
@@ -74,8 +75,8 @@ class OptimalPair:
         return max(self.coloring, default=0)
 
 
-@dataclass(frozen=True)
-class NiceStableSetCert:
+@record
+class NiceStableSetCert(NamedTuple):
     """A maximal stable set in an order that passed nice_check."""
 
     order: tuple[int, ...]

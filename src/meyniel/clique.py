@@ -11,21 +11,22 @@ failure is the entry point for obstruction extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .lexcolor import ColorTrace
+from .record import record
 
 
-@dataclass(frozen=True)
-class CliqueComplete:
+@record
+class CliqueComplete(NamedTuple):
     """One vertex per color, pairwise adjacent; listed from the top color down."""
 
     clique: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CliqueFailure:
+@record
+class CliqueFailure(NamedTuple):
     """No vertex of `color` is adjacent to all of `clique` (one vertex per higher color)."""
 
     color: int

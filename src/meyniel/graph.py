@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .record import record
 
 
 class GraphInputError(ValueError):
@@ -272,23 +274,30 @@ def _builtin(name: str) -> Graph:
     raise GraphInputError(f"unknown builtin {name!r} (expected p6bar or sec5)")
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters for generate().  Unused fields may stay at defaults."""
-
+class _GenFields(NamedTuple):
     family: str
     n: int = 0
     p: float = 0.5
     seed: int = 0
     name: str = ""
 
-    def __post_init__(self):
+
+@record
+class GenSpec(_GenFields):
+    """Parameters for generate().  Unused fields may stay at defaults."""
+
+    __slots__ = ()
+
+    # NamedTuple reserves __new__ in its own body, hence the field base
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise GraphInputError(f"unknown family {self.family!r}")
         if self.family != "builtin" and self.n < 0:
             raise GraphInputError(f"n must be >= 0, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise GraphInputError(f"p must be in [0, 1], got {self.p}")
+        return self
 
 
 def generate(spec: GenSpec) -> Graph:

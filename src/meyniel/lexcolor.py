@@ -31,10 +31,11 @@ same bit tells whether label_x(c) is still 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .graph import Graph
+from .record import record
 
 
 class ForcedOrderError(ValueError):
@@ -50,8 +51,8 @@ class ForcedOrderError(ValueError):
         self.competitor = competitor
 
 
-@dataclass(frozen=True)
-class TieBreak:
+@record
+class TieBreak(NamedTuple):
     """How to choose among lex-maximal vertices at each step.
 
     ``ascending`` picks the lowest index; ``forced`` follows a caller
@@ -77,8 +78,8 @@ class TieBreak:
         return TieBreak("anchored", anchor=vertex)
 
 
-@dataclass(frozen=True)
-class ColorTrace:
+@record
+class ColorTrace(NamedTuple):
     """Full record of one coloring run.
 
     order: vertices in coloring order.

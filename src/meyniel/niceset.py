@@ -18,9 +18,10 @@ scanned a bounded number of times and the check is linear in n + m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
+from .record import record
 
 
 class NotStableSetError(ValueError):
@@ -31,8 +32,8 @@ class NotMaximalError(ValueError):
     """Some outside vertex has no neighbor in the set."""
 
 
-@dataclass(frozen=True)
-class NiceCheckWitness:
+@record
+class NiceCheckWitness(NamedTuple):
     """The pair (a, b) violating niceness at position `index` (1-based, >= 2)."""
 
     index: int

@@ -24,7 +24,7 @@ before it leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .certify import MeynielObstruction
 # not called here; kept bound because bench/tracing.py wraps it by name
@@ -32,14 +32,15 @@ from .certify import verify_obstruction  # noqa: F401
 from .clique import CliqueFailure
 from .graph import Graph
 from .lexcolor import ColorTrace
+from .record import record
 
 
 class InternalInvariantError(RuntimeError):
     """A structural invariant of the extraction machinery failed."""
 
 
-@dataclass(frozen=True)
-class ContractionView:
+@record
+class ContractionView(NamedTuple):
     """Prefix-attachment table for one color class.
 
     class_verts lists the class in coloring order; first_idx[v] is the
@@ -52,8 +53,8 @@ class ContractionView:
     first_idx: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BadPath:
+@record
+class BadPath(NamedTuple):
     """Odd path v_1..v_p ending at x_index, at most one short chord.
 
     chord_mid, when set, is the 0-based position of the skipped vertex:
@@ -65,8 +66,8 @@ class BadPath:
     chord_mid: int | None
 
 
-@dataclass(frozen=True)
-class NearObstruction:
+@record
+class NearObstruction(NamedTuple):
     """Even path w_0..w_p with an apex adjacent to both endpoints.
 
     chord_mid as in BadPath.  kind records what is known about how the

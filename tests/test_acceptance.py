@@ -40,7 +40,8 @@ def report(name, ok, detail=""):
 
 def certified(g, cert):
     """Round-trip through the wire format, which re-runs every verifier."""
-    return decode(g, encode(cert)) == cert
+    back = decode(g, encode(cert))
+    return back == cert and type(back) is type(cert)
 
 
 def test_exhaustive_six_vertex_sweep():

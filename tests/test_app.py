@@ -29,6 +29,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
+def child_env():
+    """This environment with `src` on PYTHONPATH, so `python -m meyniel` runs uninstalled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 @given(graphs(max_n=9))
 @settings(max_examples=250)
 def test_robust_solve_certified_and_optimal(g):
@@ -262,7 +269,7 @@ def test_cli_verify_hostile_certificates(tmp_path):
     def verify(cert):
         return subprocess.run(
             [sys.executable, "-m", "meyniel", "verify", str(graph), str(cert)],
-            capture_output=True, text=True, preexec_fn=cap_memory,
+            env=child_env(), capture_output=True, text=True, preexec_fn=cap_memory,
         )
 
     res = verify(huge)
@@ -286,14 +293,18 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert type(exc).__name__ in err and "Traceback" not in err
 
 
-def child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return env
-
-
 def test_import_leaves_numpy_unloaded():
     code = "import sys, meyniel.app; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_import_skips_dataclasses():
+    """Records are NamedTuples: no CLI process pays for dataclass code generation."""
+    code = ("import sys, meyniel.app; "
+            "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
     res = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -312,7 +323,7 @@ def test_census_script_runs():
 def test_module_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "meyniel", "gen", "--family", "complete", "--n", "3"],
-        capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert res.returncode == 0
     assert parse(res.stdout).m == 3

@@ -184,14 +184,17 @@ def test_round_trip_all_kinds():
     # decode -> encode is byte identical
     for graph, cert in [(g, ob), (h, opt), (hh, nice)]:
         blob = encode(cert)
-        assert encode(decode(graph, blob)) == blob
+        back = decode(graph, blob)
+        assert type(back) is type(cert)
+        assert encode(back) == blob
 
 
 @given(graphs(max_n=9))
 @settings(max_examples=150)
 def test_solver_output_round_trips(g):
     cert = robust_solve(g)
-    assert decode(g, encode(cert)) == cert
+    back = decode(g, encode(cert))
+    assert back == cert and type(back) is type(cert)
 
 
 json_values = st.recursive(

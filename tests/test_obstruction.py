@@ -9,7 +9,6 @@ directly, which reaches every closing branch of near_to_obstruction.
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -333,27 +332,27 @@ class TestValidatorsCatchCorruption:
 
     def test_wrong_kind(self):
         g, near = self.near_fixture()
-        probs = validate_near_obstruction(g, replace(near, kind=4))
+        probs = validate_near_obstruction(g, near._replace(kind=4))
         assert any("kind 4 apex" in pr for pr in probs)
 
     def test_apex_on_path(self):
         g, near = self.near_fixture()
-        probs = validate_near_obstruction(g, replace(near, apex=0))
+        probs = validate_near_obstruction(g, near._replace(apex=0))
         assert "apex lies on the path" in probs
 
     def test_odd_path(self):
         g, near = self.near_fixture()
-        probs = validate_near_obstruction(g, replace(near, verts=(0, 1, 2)))
+        probs = validate_near_obstruction(g, near._replace(verts=(0, 1, 2)))
         assert any("not even" in pr for pr in probs)
 
     def test_phantom_chord(self):
         g, near = self.near_fixture()
-        probs = validate_near_obstruction(g, replace(near, chord_mid=1, kind=1))
+        probs = validate_near_obstruction(g, near._replace(chord_mid=1, kind=1))
         assert "declared chord is not an edge" in probs
 
     def test_broken_path_edge(self):
         g, near = self.near_fixture()
-        probs = validate_near_obstruction(g, replace(near, verts=(0, 1, 3, 2)))
+        probs = validate_near_obstruction(g, near._replace(verts=(0, 1, 3, 2)))
         assert any("missing path edge" in pr for pr in probs)
 
     def test_undeclared_adjacency(self):
@@ -368,13 +367,13 @@ class TestValidatorsCatchCorruption:
         bp = initial_bad_path(g, view, res)
         assert validate_bad_path(g, trace, view, bp) == []
         assert any("not odd" in pr
-                   for pr in validate_bad_path(g, trace, view, replace(bp, verts=bp.verts[:2])))
+                   for pr in validate_bad_path(g, trace, view, bp._replace(verts=bp.verts[:2])))
         assert any("chord position" in pr or "declared chord" in pr
-                   for pr in validate_bad_path(g, trace, view, replace(bp, chord_mid=1)))
+                   for pr in validate_bad_path(g, trace, view, bp._replace(chord_mid=1)))
         assert any("out of range" in pr
-                   for pr in validate_bad_path(g, trace, view, replace(bp, index=0)))
+                   for pr in validate_bad_path(g, trace, view, bp._replace(index=0)))
         # head must attach strictly inside the prefix
-        swapped = replace(bp, verts=(bp.verts[1], bp.verts[0]) + bp.verts[2:])
+        swapped = bp._replace(verts=(bp.verts[1], bp.verts[0]) + bp.verts[2:])
         assert validate_bad_path(g, trace, view, swapped) != []
 
 
