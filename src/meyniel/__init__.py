@@ -26,7 +26,17 @@ from .certify import (
     verify_optimal_pair,
 )
 from .clique import CliqueComplete, CliqueFailure, greedy_clique, greedy_clique_over
-from .graph import GenSpec, Graph, GraphInputError, GraphParseError, build, generate, parse, to_dimacs
+from .graph import (
+    GenSpec,
+    Graph,
+    GraphInputError,
+    GraphParseError,
+    build,
+    generate,
+    parse,
+    parse_stream,
+    to_dimacs,
+)
 from .lexcolor import ColorTrace, ForcedOrderError, TieBreak, lex_color
 from .niceset import NiceCheckWitness, nice_check
 from .obstruction import InternalInvariantError, extract_obstruction
@@ -64,6 +74,7 @@ __all__ = [
     "main",
     "nice_check",
     "parse",
+    "parse_stream",
     "robust_solve",
     "robust_stable_set",
     "to_dimacs",

@@ -26,7 +26,9 @@ from .certify import (
     verify_optimal_pair,
 )
 from .clique import CliqueFailure, greedy_clique, greedy_clique_over
-from .graph import FAMILIES, GenSpec, Graph, GraphInputError, generate, parse, to_dimacs
+# `parse` has no caller here; it stays bound as `meyniel.app.parse` for the
+# in-process callers in bench/run.py and the span wrapper in bench/tracing.py
+from .graph import FAMILIES, GenSpec, Graph, GraphInputError, dimacs_pieces, generate, parse, parse_stream
 from .lexcolor import TieBreak, lex_color
 from .niceset import nice_check
 from .obstruction import (
@@ -37,7 +39,6 @@ from .obstruction import (
     extract_obstruction,
     near_to_obstruction,
 )
-from .oracle import OracleSizeError, chromatic_bf, is_meyniel_bf, omega_bf
 
 
 def _verified(g: Graph, cert: Certificate) -> Certificate:
@@ -133,11 +134,9 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
 
 def _read_graph(path: str, fmt: str) -> Graph:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse(text, fmt=fmt)
+        return parse_stream(sys.stdin, fmt)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_stream(fh, fmt)
 
 
 def _write_cert(cert, out: str | None) -> None:
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
             spec = GenSpec(
                 family=args.family, n=args.n, p=args.p, seed=args.seed, name=args.name
             )
-            sys.stdout.write(to_dimacs(generate(spec)))
+            sys.stdout.writelines(dimacs_pieces(generate(spec)))
             return 0
 
         g = _read_graph(args.graph, getattr(args, "format", "dimacs"))
@@ -226,6 +225,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "oracle":
+            from .oracle import chromatic_bf, is_meyniel_bf, omega_bf  # only this command needs it
+
             if args.what == "chromatic":
                 print(chromatic_bf(g))
             elif args.what == "omega":
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     except (InternalInvariantError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (GraphInputError, CertificateFormatError, OracleSizeError, OSError) as exc:
+    except (GraphInputError, CertificateFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -6,14 +6,20 @@ search.  Parsing and `build` fill per-vertex lists in one pass over the
 edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
 immutable once built.
 
-One streaming loop parses both text formats.  It splits one slice of
-about 64 KiB at a time, so only one slice's lines exist at once.  Its
-hot branch takes edge lines and interns their endpoint tokens: a token
-seen before costs one dict lookup, and every occurrence of it shares one
-int object in the neighbor tuples.  Every other line (header, comment,
-blank or malformed) goes to one cold helper.  The token dict lives until
+One streaming loop parses both text formats.  It takes the text as
+pieces of about 64 KiB, each ending just after a "\n", so only one
+piece's lines exist at once.  `parse` cuts a str into such pieces;
+`parse_stream` reads them from a text file object, so a file's text is
+never held whole.  The loop's hot branch takes edge lines and interns
+their endpoint tokens: a token seen before costs one dict lookup, and
+every occurrence of it shares one int object in the neighbor tuples.
+Every other line (header, comment, blank or malformed) goes to one cold
+helper.  The token dict lives until
 the graph is built; it is largest when every token is distinct, as in a
 perfect matching.
+
+`dimacs_pieces` serializes a graph the other way, one vertex's edge
+lines at a time, so writing a graph holds no edge list and no whole text.
 """
 
 from __future__ import annotations
@@ -135,16 +141,51 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     "c ..." lines are comments.  edgelist: first non-blank line is "<n>",
     then "<u> <v>" lines (0-based); blank lines are ignored.
     """
-    if fmt in ("dimacs", "edgelist"):
-        return _parse(text, fmt == "dimacs")
-    raise GraphInputError(f"unknown format {fmt!r}")
+    return _parse(_text_pieces(text), fmt)
 
 
-# Parsers split the text one slice at a time: each slice ends just after
-# a "\n" about every _SLICE characters.  A cut after "\n" is also a
-# `str.splitlines` boundary, so lines and line numbers match splitting
-# the whole text, without holding every line at once.
+def parse_stream(fh, fmt: str = "dimacs") -> Graph:
+    """`parse` of the text that a text file object `fh` reads.
+
+    Reads `fh.read(_SLICE)` blocks until EOF, so only about one block of
+    the text is held at a time.  Lines, line numbers and errors are those
+    of `parse(fh.read(), fmt)`, except that an error `fh` raises while
+    reading (such as a UnicodeDecodeError) comes only when its block is
+    read, after any error in the lines before it.
+    """
+    return _parse(_file_pieces(fh), fmt)
+
+
+# The parse loop takes the text in pieces that end just after a "\n",
+# about every _SLICE characters (the last piece may end without one).
+# A cut after "\n" is also a `str.splitlines` boundary, so lines and line
+# numbers match splitting the whole text, without holding every line or
+# the whole text at once.
 _SLICE = 1 << 16
+
+
+def _text_pieces(text: str):
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        yield text[start:cut]
+        start = cut
+
+
+def _file_pieces(fh):
+    # Each block is cut after its last "\n" and the tail carried on.  A
+    # block without "\n" is only held, and the held blocks are joined
+    # once, so one huge line costs linear time, not quadratic.
+    held: list[str] = []
+    while block := fh.read(_SLICE):
+        cut = block.rfind("\n") + 1
+        if cut:
+            held.append(block[:cut])
+            yield "".join(held)
+            held = [block[cut:]]
+        else:
+            held.append(block)
+    yield "".join(held)
 
 
 def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) -> tuple[int, int]:
@@ -162,8 +203,11 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse(text: str, dimacs: bool) -> Graph:
+def _parse(pieces, fmt: str) -> Graph:
     """Both formats in one pass: edge lines take the hot branch, the rest `_other_line`."""
+    if fmt not in ("dimacs", "edgelist"):
+        raise GraphInputError(f"unknown format {fmt!r}")
+    dimacs = fmt == "dimacs"
     edgelist = not dimacs
     base = 1 if dimacs else 0  # index of an edge line's first endpoint, and number of vertex 0
     last = base + 1
@@ -172,10 +216,9 @@ def _parse(text: str, dimacs: bool) -> Graph:
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
-    ln = start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        for ln, raw in enumerate(text[start:cut].splitlines(), ln + 1):
+    ln = 0
+    for piece in pieces:
+        for ln, raw in enumerate(piece.splitlines(), ln + 1):
             parts = raw.split()
             if len(parts) == width and (edgelist or parts[0] == "e"):
                 a, b = parts[base], parts[last]
@@ -190,7 +233,6 @@ def _parse(text: str, dimacs: bool) -> Graph:
                 n = count
                 adj = [[] for _ in range(n)]
                 width = last + 1
-        start = cut
     if adj is None:
         raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
     return _freeze(adj)
@@ -236,9 +278,18 @@ def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool
 
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS text (inverse of parse up to comments)."""
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(dimacs_pieces(g))
+
+
+def dimacs_pieces(g: Graph):
+    """The text of `to_dimacs(g)` in pieces: the header, then each vertex's edge lines.
+
+    Edges come as (u, v) with u < v, lexicographically sorted, walked
+    straight from the neighbor tuples.
+    """
+    yield f"p edge {g.n} {g.m}\n"
+    for u, a in enumerate(g._nbrs, 1):  # 1-based u: the later neighbors are those >= u
+        yield "".join([f"e {u} {v + 1}\n" for v in a[bisect_left(a, u):]])
 
 
 FAMILIES = ("gnp", "chordal", "bipartite", "cycle", "complete", "edgeless", "builtin")

@@ -310,6 +310,14 @@ def test_import_skips_dataclasses():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_leaves_oracle_unloaded():
+    """Only the `oracle` command loads the brute-force references."""
+    code = "import sys, meyniel.app; assert 'meyniel.oracle' not in sys.modules, 'oracle loaded'"
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_census_script_runs():
     script = os.path.join(ROOT, "scripts", "obstruction_census.py")
     res = subprocess.run(
