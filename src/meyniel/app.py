@@ -14,7 +14,6 @@ import sys
 
 from .certify import (
     Certificate,
-    CertificateFormatError,
     CertificateInvalidError,
     MeynielObstruction,
     NiceStableSetCert,
@@ -110,13 +109,11 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
         res = _stable_set(remaining, 0)
         if isinstance(res, MeynielObstruction):
             cycle = tuple(old[u] for u in res.cycle)
-            chord = res.chord
-            if chord is not None:
-                lifted = (old[chord[0]], old[chord[1]])
-                chord = (min(lifted), max(lifted))
+            # old is ascending, so the lifted chord stays (low, high)
+            chord = None if res.chord is None else (old[res.chord[0]], old[res.chord[1]])
             return _verified(g, MeynielObstruction(cycle=cycle, chord=chord))
         members = set(res.order)
-        classes.append(tuple(sorted(old[u] for u in members)))
+        classes.append(tuple(old[u] for u in res.order))
         keep = [u for u in range(remaining.n) if u not in members]
         remaining, sub_old = remaining.subgraph(keep)
         old = tuple(old[u] for u in sub_old)
@@ -133,10 +130,13 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    if path == "-":
-        return parse_stream(sys.stdin, fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_stream(fh, fmt)
+    try:
+        if path == "-":
+            return parse_stream(sys.stdin, fmt)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_stream(fh, fmt)
+    except UnicodeDecodeError as exc:  # its position counts from the block, not the file
+        raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
 
 
 def _write_cert(cert, out: str | None) -> None:
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
             sys.stdout.writelines(dimacs_pieces(generate(spec)))
             return 0
 
-        g = _read_graph(args.graph, getattr(args, "format", "dimacs"))
+        g = _read_graph(args.graph, args.format)
 
         if args.command == "verify":
             with open(args.cert, "rb") as fh:
@@ -251,10 +251,7 @@ def main(argv=None) -> int:
     except (InternalInvariantError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (GraphInputError, CertificateFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # GraphInputError and CertificateFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -155,29 +155,25 @@ def verify_obstruction(g: Graph, ob: MeynielObstruction) -> Verdict:
         u, v = cyc[i], cyc[(i + 1) % p]
         if not g.has_edge(u, v):
             return _bad(f"consecutive cycle pair {u}-{v} not adjacent")
-    declared: set[frozenset[int]] = set()
+    ci = cj = -1  # cycle positions of the declared chord, ci < cj
     if ob.chord is not None:
         cu, cv = ob.chord
         pos = {v: i for i, v in enumerate(cyc)}
         if cu not in pos or cv not in pos or cu == cv:
             return _bad(f"chord {cu}-{cv} is not a pair of cycle vertices")
-        gap = (pos[cu] - pos[cv]) % p
-        if gap in (1, p - 1):
+        ci, cj = sorted((pos[cu], pos[cv]))
+        if cj - ci in (1, p - 1):
             return _bad(f"chord {cu}-{cv} joins consecutive cycle vertices")
-        declared.add(frozenset((cu, cv)))
-    actual: set[frozenset[int]] = set()
-    for i in range(p):
-        for jj in range(i + 2, p):
-            if i == 0 and jj == p - 1:
-                continue
-            if g.has_edge(cyc[i], cyc[jj]):
-                actual.add(frozenset((cyc[i], cyc[jj])))
-    if actual != declared:
-        extra = actual - declared
-        if extra:
-            u, v = sorted(next(iter(extra)))
-            return _bad(f"undeclared chord {u}-{v}")
-        u, v = sorted(next(iter(declared)))
+    # every non-consecutive pair (i, j), i < j, in cycle order; the first
+    # edge other than the declared chord is the one the reason names
+    for i in range(p - 2):
+        u = cyc[i]
+        for j in range(i + 2, p - 1 if i == 0 else p):
+            if g.has_edge(u, cyc[j]) and not (i == ci and j == cj):
+                v = cyc[j]
+                return _bad(f"undeclared chord {min(u, v)}-{max(u, v)}")
+    if ci >= 0 and not g.has_edge(cyc[ci], cyc[cj]):
+        u, v = sorted(ob.chord)
         return _bad(f"declared chord {u}-{v} is not an edge")
     return _ok()
 

@@ -75,10 +75,6 @@ class Graph:
             raise IndexError(f"vertex {v} out of range")
         return len(self._nbrs[v])
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in self._nbrs[u] if u < v]
-
     def subgraph(self, verts: list[int] | tuple[int, ...]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `verts` plus the old-vertex map.
 
@@ -123,14 +119,15 @@ def build(n: int, edges) -> Graph:
     if n < 0:
         raise GraphInputError(f"vertex count must be >= 0, got {n}")
     adj: list[list[int]] = [[] for _ in range(n)]
+    ids = list(range(n))  # one int object per vertex, shared by every neighbor tuple
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphInputError(f"self-loop at vertex {u}")
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
     return _freeze(adj)
 
 

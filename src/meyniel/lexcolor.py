@@ -95,10 +95,6 @@ class ColorTrace(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
     num_colors: int
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def class_of(self, color: int) -> tuple[int, ...]:
         if not 1 <= color <= self.num_colors:
             raise ValueError(f"color {color} out of range")

@@ -20,6 +20,11 @@ def graphs(draw, min_n=0, max_n=12):
     return build(n, edges)
 
 
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """All edges as (u, v) with u < v, lexicographically sorted."""
+    return [(u, v) for u in range(g.n) for v in g.neighbors(u) if u < v]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -28,7 +28,7 @@ from meyniel.lexcolor import TieBreak, lex_color
 from meyniel.niceset import nice_check
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
-from conftest import all_graphs, is_strong_stable_set, naive_lex_color, random_graph
+from conftest import all_graphs, edge_list, is_strong_stable_set, naive_lex_color, random_graph
 
 
 def report(name, ok, detail=""):
@@ -53,7 +53,7 @@ def test_exhaustive_six_vertex_sweep():
         if isinstance(cert, OptimalPair):
             optimal += 1
             k = cert.num_colors
-            assert k == chromatic_bf(g) == omega_bf(g), g.edges()
+            assert k == chromatic_bf(g) == omega_bf(g), edge_list(g)
         else:
             obstructed += 1
         total += 1
@@ -198,7 +198,7 @@ def test_first_color_class_strong_on_meyniel_instances():
         cls = lex_color(g).class_of(1)
         checked += 1
         if not is_strong_stable_set(g, cls):
-            findings.append((g.edges(), cls))
+            findings.append((edge_list(g), cls))
     for edges, cls in findings:
         print(f"FINDING: first color class {cls} not strong on {edges}")
     report(

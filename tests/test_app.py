@@ -252,6 +252,25 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["solve", "--no-such-flag"])
 
 
+@pytest.mark.parametrize("where", ["path", "stdin"])
+@pytest.mark.parametrize("offset", [30, 120_000])
+def test_cli_graph_not_utf8(tmp_path, capsys, monkeypatch, where, offset):
+    """A bad byte in the first 64 KiB block or past it: exit 2, one line, no block position."""
+    text = to_dimacs(generate(GenSpec(family="cycle", n=20_000))).encode()
+    cut = text.index(b"\n", offset) + 1
+    data = text[:cut] + b"c \xff\n" + text[cut:]
+    assert len(text) > 2 * 65536
+    if where == "path":
+        path = tmp_path / "bad.col"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "solve", str(path))
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, "solve", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: graph input is not valid UTF-8: invalid start byte\n"
+
+
 def test_cli_verify_hostile_certificates(tmp_path):
     """A tiny hostile certificate gets a verdict or a format error, not a traceback."""
     import resource

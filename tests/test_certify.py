@@ -159,6 +159,32 @@ class TestVerifyObstruction:
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2))
         assert "declared chord 0-2 is not an edge" == verify_obstruction(g, ob).reason
 
+    # The 7-cycle 6, 5, ..., 0 with chords at cycle positions (1, 4), (2, 6)
+    # and (3, 5): the reason names the first undeclared one in (i, j)
+    # order, not the one with the smallest labels
+    CYCLE = (6, 5, 4, 3, 2, 1, 0)
+    CHORDS = {(1, 4): (5, 2), (2, 6): (4, 0), (3, 5): (3, 1)}
+
+    def chorded(self, *at):
+        c = self.CYCLE
+        return build(7, [(c[i], c[i - 1]) for i in range(7)] + [self.CHORDS[ij] for ij in at])
+
+    @pytest.mark.parametrize("at", [[(2, 6), (1, 4)], [(3, 5), (2, 6), (1, 4)]])
+    def test_first_undeclared_chord_in_cycle_order(self, at):
+        v = verify_obstruction(self.chorded(*at), MeynielObstruction(cycle=self.CYCLE))
+        assert v.reason == "undeclared chord 2-5"
+
+    @pytest.mark.parametrize("at, declared, named", [
+        ([(1, 4), (3, 5)], (5, 2), "1-3"),
+        ([(1, 4), (3, 5)], (1, 3), "2-5"),
+        ([(1, 4), (2, 6), (3, 5)], (2, 5), "0-4"),
+        ([(1, 4), (2, 6), (3, 5)], (0, 4), "2-5"),
+    ])
+    def test_undeclared_chord_beside_a_declared_one(self, at, declared, named):
+        g = self.chorded(*at)
+        ob = MeynielObstruction(cycle=self.CYCLE, chord=declared)
+        assert verify_obstruction(g, ob).reason == f"undeclared chord {named}"
+
 
 def test_encode_is_canonical():
     cert = OptimalPair(coloring=(1, 1), clique=(0,))

@@ -21,7 +21,7 @@ from meyniel.graph import (
     to_dimacs,
 )
 
-from conftest import graphs, reference_parse
+from conftest import edge_list, graphs, reference_parse
 
 
 def test_build_basic():
@@ -32,7 +32,7 @@ def test_build_basic():
     assert not g.has_edge(0, 2)
     assert g.neighbors(1) == (0, 2)
     assert g.degree(3) == 0
-    assert g.edges() == [(0, 1), (1, 2)]
+    assert edge_list(g) == [(0, 1), (1, 2)]
 
 
 def test_negative_vertex_raises_index_error():
@@ -60,7 +60,7 @@ def test_subgraph_relabels():
     sub, old = g.subgraph([4, 1, 3])
     assert old == (1, 3, 4)
     assert sub.n == 3
-    assert sub.edges() == [(0, 1), (1, 2)]
+    assert edge_list(sub) == [(0, 1), (1, 2)]
     with pytest.raises(GraphInputError):
         g.subgraph([1, 1])
     for bad in ([-1, 0], [5]):
@@ -95,7 +95,7 @@ def test_parse_dimacs_errors_carry_line_numbers():
 
 def test_parse_edgelist():
     g = parse("3\n0 1\n\n1 2\n", fmt="edgelist")
-    assert g.edges() == [(0, 1), (1, 2)]
+    assert edge_list(g) == [(0, 1), (1, 2)]
 
 
 @given(graphs(max_n=10))
@@ -242,7 +242,7 @@ def _check_against_reference(text: str, fmt: str) -> None:
         assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         return
     g = parse(text, fmt)
-    assert (g.n, g.edges()) == want
+    assert (g.n, edge_list(g)) == want
     for u in range(g.n):
         nbrs = set(g.neighbors(u))
         assert all(g.has_edge(u, v) == (v in nbrs) for v in range(g.n))
@@ -346,7 +346,7 @@ def test_parse_across_many_slices_matches_reference(fmt, fault):
 
 
 def _edgelist(g) -> str:
-    return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in edge_list(g))
 
 
 @pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
@@ -355,4 +355,10 @@ def test_parse_shares_one_int_per_vertex(fmt):
     text = to_dimacs(src) if fmt == "dimacs" else _edgelist(src)
     g = parse(text, fmt)
     assert g == src
+    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
+
+
+@pytest.mark.parametrize("family", ["gnp", "bipartite"])
+def test_generated_graphs_share_one_int_per_vertex(family):
+    g = generate(GenSpec(family, n=600, p=0.5, seed=1))
     assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n

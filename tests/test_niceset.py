@@ -8,7 +8,7 @@ from meyniel.graph import build
 from meyniel.lexcolor import TieBreak, lex_color
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError, nice_check
 
-from conftest import graphs, is_strong_stable_set, quadratic_nice_check, random_graph
+from conftest import edge_list, graphs, is_strong_stable_set, quadratic_nice_check, random_graph
 
 
 def prefix_adjacent(g, order, i, u):
@@ -84,7 +84,7 @@ def test_matches_quadratic_reference():
         orders += [broken, orders[1][:-1]]
         for order in orders:
             got = check_outcome(nice_check, g, order)
-            assert got == check_outcome(quadratic_nice_check, g, order), (g.edges(), order)
+            assert got == check_outcome(quadratic_nice_check, g, order), (edge_list(g), order)
             witnesses += isinstance(got, NiceCheckWitness)
             errors += type(got) is tuple  # NiceCheckWitness is a tuple subclass
     assert witnesses > 100 and errors > 1000

@@ -10,14 +10,16 @@ directly, which reaches every closing branch of near_to_obstruction.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.certify import verify_obstruction
 from meyniel.clique import CliqueFailure, greedy_clique
 from meyniel.graph import build
-from meyniel.lexcolor import TieBreak, lex_color
+from meyniel.lexcolor import ColorTrace, TieBreak, lex_color
 from meyniel.obstruction import (
+    BadPath,
     NearObstruction,
     build_view,
     extract_obstruction,
@@ -315,6 +317,115 @@ def test_synthetic_corpus_reaches_every_kind():
         assert verify_obstruction(g, ob)
         kinds[kind] += 1
     assert all(kinds[k] > 0 for k in (1, 2, 3, 4))
+
+
+def synthetic_bad_path(p, mid, hits, fwd):
+    """One reduction round built by hand: (g, trace, view, bad path, z).
+
+    The bad path is 0, 1, ..., p-1 at index 3, with the chord at `mid`.
+    The class is x_1 = p+1, x_2 = p+2, x_3 = p-1; z = p.  z sees x_3 and
+    the path positions in `hits`.  With `fwd`, v_1 attaches at 1 and z
+    at 2, so the rewritten path runs forward into x_2; otherwise v_1
+    attaches at 2 and z at 1, and it runs backward.  The trace only
+    names the class (color 1; every other vertex has color 2): no
+    coloring run produced it.
+    """
+    z, x1, x2, x3 = p, p + 1, p + 2, p - 1
+    es = [(t, t + 1) for t in range(p - 1)] + [(z, t) for t in {*hits, x3}]
+    if mid is not None:
+        es.append((mid - 1, mid + 1))
+    es += [(0, x1), (z, x2)] if fwd else [(0, x2), (z, x1)]
+    g = build(p + 3, es)
+    cls = (x1, x2, x3)
+    rest = tuple(range(p - 1)) + (z,)
+    order = cls + rest
+    step_of = [0] * g.n
+    for step, v in enumerate(order, start=1):
+        step_of[v] = step
+    color_of = tuple(1 if v in cls else 2 for v in range(g.n))
+    trace = ColorTrace(order, tuple(step_of), color_of, (cls, rest), 2)
+    view = build_view(g, trace, 1)
+    return g, trace, view, BadPath(index=3, verts=tuple(range(p)), chord_mid=mid), z
+
+
+def check_round(g, trace, view, bp, z):
+    """Run one round on a sound bad path; the result must be sound too."""
+    assert validate_bad_path(g, trace, view, bp) == []
+    nxt = reduce_bad_path(g, view, bp, z)
+    if isinstance(nxt, NearObstruction):
+        assert validate_near_obstruction(g, nxt) == []
+        ob = near_to_obstruction(g, nxt)
+        assert verify_obstruction(g, ob)
+    else:
+        assert nxt.index < bp.index
+        assert validate_bad_path(g, trace, view, nxt) == []
+    return nxt
+
+
+# Every outcome of reduce_bad_path for an even k with a chord at `mid`,
+# on the path vs = 0..8 with z = 9 and x_2 = 11: (mid, hits, forward
+# result, backward result).  As there, z's first neighbor on the path is
+# vs[k-1]; k = 4, except k = 2 in the last.  A near obstruction does not
+# depend on the orientation.
+CHORD_OUTCOMES = {
+    "splice": (
+        2, {3}, BadPath(2, (0, 1, 3, 9, 11), None), BadPath(2, (9, 3, 1, 0, 11), None)),
+    "mid=k-1, misses vs[k]": (
+        3, {3}, NearObstruction((3, 4, 5, 6, 7, 8), None, 9, 3), None),
+    "mid=k-1, hits vs[k], vs[k+1]": (
+        3, {3, 4, 5}, BadPath(2, (0, 1, 2, 4, 5, 9, 11), 4), BadPath(2, (9, 5, 4, 2, 1, 0, 11), 1)),
+    "mid=k-1, hits vs[k] only": (
+        3, {3, 4}, NearObstruction((3, 4, 5, 6, 7, 8), None, 9, 4), None),
+    "mid=k, hits vs[k]": (
+        4, {3, 4}, BadPath(2, (0, 1, 2, 3, 4, 9, 11), 4), BadPath(2, (9, 4, 3, 2, 1, 0, 11), 1)),
+    "mid=k, hits vs[k+1] only": (
+        4, {3, 5}, BadPath(2, (0, 1, 2, 3, 5, 9, 11), 4), BadPath(2, (9, 5, 3, 2, 1, 0, 11), 1)),
+    "mid=k, misses both": (
+        4, {3}, NearObstruction((3, 4, 5, 6, 7, 8), 1, 9, 1), None),
+    "mid>k, misses vs[k]": (
+        4, {1}, NearObstruction((1, 2, 3, 4, 5, 6, 7, 8), 3, 9, 3), None),
+}
+
+
+@pytest.mark.parametrize("fwd", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("outcome", CHORD_OUTCOMES)
+def test_chord_outcomes_of_reduce_bad_path(outcome, fwd):
+    mid, hits, forward, backward = CHORD_OUTCOMES[outcome]
+    want = forward if fwd or backward is None else backward
+    assert check_round(*synthetic_bad_path(9, mid, hits, fwd)) == want
+
+
+@st.composite
+def synthetic_chorded_rounds(draw):
+    """A chorded bad path whose z first touches vs[k-1] for an even k, any outcome.
+
+    z's edges to vs[:decided + 1] fix the outcome; past it they are
+    drawn freely.
+    """
+    p = draw(st.sampled_from([7, 9, 11, 13]))
+    case = draw(st.sampled_from(["splice", "k-1", "k", "beyond"]))
+    hits = set()
+    if case == "splice":
+        k = draw(st.sampled_from(range(4, p - 1, 2)))
+        mid = draw(st.integers(1, min(k - 2, p - 3)))
+        decided = k - 1
+    elif case == "beyond":
+        k = draw(st.sampled_from(range(2, p - 4, 2)))
+        mid = draw(st.integers(k + 1, p - 3))
+        decided = k  # z misses vs[k]
+    else:
+        k = draw(st.sampled_from(range(2, p - 2, 2)))
+        mid = k - 1 if case == "k-1" else k
+        decided = k + 1
+        hits = {t for t in (k, k + 1) if draw(st.booleans())}
+    hits |= {k - 1} | {t for t in range(decided + 1, p - 1) if draw(st.booleans())}
+    return synthetic_bad_path(p, mid, hits, draw(st.booleans()))
+
+
+@given(synthetic_chorded_rounds())
+@settings(max_examples=400)
+def test_synthetic_chorded_round_is_sound(case):
+    check_round(*case)
 
 
 class TestValidatorsCatchCorruption:

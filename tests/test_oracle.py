@@ -10,6 +10,7 @@ from meyniel.oracle import OracleSizeError, _neighbor_mask, chromatic_bf, is_mey
 
 from conftest import (
     _bits,
+    edge_list,
     graphs,
     is_stable_set,
     is_strong_stable_set,
@@ -136,7 +137,7 @@ def test_meyniel_vs_permutation_reference():
     for _ in range(250):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
-        assert is_meyniel_bf(g) == meyniel_ref(g), g.edges()
+        assert is_meyniel_bf(g) == meyniel_ref(g), edge_list(g)
 
 
 def test_chordal_and_bipartite_are_meyniel():
