@@ -10,6 +10,7 @@ surfaces as InternalInvariantError instead of a wrong answer.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .certify import (
@@ -20,6 +21,7 @@ from .certify import (
     OptimalPair,
     decode,
     encode,
+    obstruction_vertices,
     verify_nice_order,
     verify_obstruction,
     verify_optimal_pair,
@@ -129,14 +131,44 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
     return _verified(g, OptimalPair(coloring=tuple(coloring), clique=res.clique))
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
+def _read_graph(path: str, fmt: str, keep=None) -> Graph:
+    """The graph in `path` ('-' for stdin), read as strict UTF-8; `keep` as in parse_stream."""
     try:
         if path == "-":
-            return parse_stream(sys.stdin, fmt)
+            # stdin's own decoding follows the locale and may escape bad
+            # bytes; decode its bytes as open() does, then leave them open
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return parse_stream(fh, fmt, keep)
+            finally:
+                fh.detach()
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_stream(fh, fmt)
+            return parse_stream(fh, fmt, keep)
     except UnicodeDecodeError as exc:  # its position counts from the block, not the file
         raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
+
+
+def _verify(path: str, fmt: str, cert_path: str) -> int:
+    """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
+
+    The certificate is read first, so that an obstruction's graph keeps
+    only the cycle's adjacency.  An error reading it waits until the
+    graph has been read, so a graph error is still reported first.
+    """
+    try:
+        with open(cert_path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        _read_graph(path, fmt, keep=())
+        raise
+    g = _read_graph(path, fmt, obstruction_vertices(data))
+    try:
+        cert = decode(g, data)
+    except CertificateInvalidError as exc:
+        print(f"INVALID: {exc}")
+        return 1
+    print(f"VALID {_summary(cert)}")
+    return 0
 
 
 def _write_cert(cert, out: str | None) -> None:
@@ -211,18 +243,10 @@ def main(argv=None) -> int:
             sys.stdout.writelines(dimacs_pieces(generate(spec)))
             return 0
 
-        g = _read_graph(args.graph, args.format)
-
         if args.command == "verify":
-            with open(args.cert, "rb") as fh:
-                data = fh.read()
-            try:
-                cert = decode(g, data)
-            except CertificateInvalidError as exc:
-                print(f"INVALID: {exc}")
-                return 1
-            print(f"VALID {_summary(cert)}")
-            return 0
+            return _verify(args.graph, args.format, args.cert)
+
+        g = _read_graph(args.graph, args.format)
 
         if args.command == "oracle":
             from .oracle import chromatic_bf, is_meyniel_bf, omega_bf  # only this command needs it

@@ -223,6 +223,31 @@ def encode(cert: Certificate) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
+def obstruction_vertices(data: bytes | str) -> set[int] | None:
+    """The cycle's vertices if `data` looks like an obstruction document, else None.
+
+    Never raises.  When `decode(g, data)` reaches `verify_obstruction`,
+    these are all the vertices it asks about, so g needs the adjacency
+    of these vertices only.  A cheap substring test comes first, so
+    other documents are not parsed twice.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if '"obstruction"' not in data:
+        return None
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    cycle = doc.get("cycle") if isinstance(doc, dict) and doc.get("kind") == "obstruction" else None
+    if not isinstance(cycle, list) or not all(map(_is_int, cycle)):
+        return None
+    return set(cycle)
+
+
 def decode(g: Graph, data: bytes | str) -> Certificate:
     """Parse and fully re-verify a certificate document against g.
 

@@ -18,6 +18,16 @@ helper.  The token dict lives until
 the graph is built; it is largest when every token is distinct, as in a
 perfect matching.
 
+`parse_stream` can also keep a set of vertices: only they get neighbor
+tuples, each complete, and every other vertex gets `()`.  Such a graph
+answers only questions about kept vertices, and its `m` counts only the
+stored edges; `meyniel verify` reads an obstruction's graph this way,
+keeping the cycle.  Every line is still checked, with the same errors.
+A piece made only of canonical edge lines ("e 12 7", single spaces, no
+leading zeros) is then checked in bulk: split once, each new token
+range-checked once, self-loops found by string equality.  Any other
+piece takes the line loop.
+
 `dimacs_pieces` serializes a graph the other way, one vertex's edge
 lines at a time, so writing a graph holds no edge list and no whole text.
 """
@@ -25,7 +35,11 @@ lines at a time, so writing a graph holds no edge list and no whole text.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
+from collections import deque
+from itertools import chain, compress, filterfalse
+from operator import eq
 from typing import NamedTuple
 
 from .record import record
@@ -141,7 +155,7 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     return _parse(_text_pieces(text), fmt)
 
 
-def parse_stream(fh, fmt: str = "dimacs") -> Graph:
+def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
     """`parse` of the text that a text file object `fh` reads.
 
     Reads `fh.read(_SLICE)` blocks until EOF, so only about one block of
@@ -149,8 +163,16 @@ def parse_stream(fh, fmt: str = "dimacs") -> Graph:
     of `parse(fh.read(), fmt)`, except that an error `fh` raises while
     reading (such as a UnicodeDecodeError) comes only when its block is
     read, after any error in the lines before it.
+
+    With `keep`, a set of vertices, only the kept vertices get neighbor
+    tuples, each one complete; every other vertex gets `()`, and `m`
+    (half the stored neighbor entries) counts only the stored edges.
+    Such a graph answers only questions about kept vertices.  Every line
+    is still checked, so the errors are the same as without `keep`.
+    Kept vertices outside 0..n-1 are ignored.
     """
-    return _parse(_file_pieces(fh), fmt)
+    # with `keep`, blocks of a quarter slice bound the token lists of `_plain_edges`
+    return _parse(_file_pieces(fh, _SLICE if keep is None else max(_SLICE // 4, 1)), fmt, keep)
 
 
 # The parse loop takes the text in pieces that end just after a "\n",
@@ -169,12 +191,12 @@ def _text_pieces(text: str):
         start = cut
 
 
-def _file_pieces(fh):
+def _file_pieces(fh, size: int):
     # Each block is cut after its last "\n" and the tail carried on.  A
     # block without "\n" is only held, and the held blocks are joined
     # once, so one huge line costs linear time, not quadratic.
     held: list[str] = []
-    while block := fh.read(_SLICE):
+    while block := fh.read(size):
         cut = block.rfind("\n") + 1
         if cut:
             held.append(block[:cut])
@@ -200,8 +222,12 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse(pieces, fmt: str) -> Graph:
-    """Both formats in one pass: edge lines take the hot branch, the rest `_other_line`."""
+def _parse(pieces, fmt: str, keep=None) -> Graph:
+    """Both formats in one pass: edge lines take the hot branch, the rest `_other_line`.
+
+    With `keep`, a piece of canonical edge lines goes to `_plain_edges`
+    first; any other piece, or one it declines, takes the line loop.
+    """
     if fmt not in ("dimacs", "edgelist"):
         raise GraphInputError(f"unknown format {fmt!r}")
     dimacs = fmt == "dimacs"
@@ -213,8 +239,14 @@ def _parse(pieces, fmt: str) -> Graph:
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
+    kept = None  # with keep: the canonical tokens of the kept vertices
+    if keep is not None:
+        plain = _plain_patterns(dimacs)
     ln = 0
     for piece in pieces:
+        if kept is not None and _plain_edges(piece, plain, tok, kept, adj, base):
+            ln += piece.count("\n")
+            continue
         for ln, raw in enumerate(piece.splitlines(), ln + 1):
             parts = raw.split()
             if len(parts) == width and (edgelist or parts[0] == "e"):
@@ -228,11 +260,64 @@ def _parse(pieces, fmt: str) -> Graph:
                 adj[v].append(u)
             elif (count := _other_line(parts, raw, ln, dimacs, adj is not None)) is not None:
                 n = count
-                adj = [[] for _ in range(n)]
+                if keep is None:
+                    adj = [[] for _ in range(n)]
+                else:  # one discarding sink for every vertex that is not kept
+                    adj = [deque(maxlen=0)] * n
+                    ids = [v for v in keep if 0 <= v < n]
+                    for v in ids:
+                        adj[v] = []
+                    kept = {str(v + base) for v in ids}
                 width = last + 1
     if adj is None:
         raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
     return _freeze(adj)
+
+
+def _plain_patterns(dimacs: bool) -> tuple[re.Pattern, re.Pattern]:
+    """The canonical edge line, and a "\n" that neither ends the piece nor starts one.
+
+    Canonical: ASCII digits without a leading zero (a lone "0" is an
+    edge-list vertex), single spaces, and "\n".  A piece is plain when
+    its first line is canonical and the second pattern is not found.  A
+    search keeps the regex engine's memory constant, where a fullmatch
+    of `(?:line)*` would stack state for every line.
+    """
+    num = "[1-9][0-9]*" if dimacs else "(?:0|[1-9][0-9]*)"
+    line = f"e {num} {num}\n" if dimacs else f"{num} {num}\n"
+    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
+
+
+def _plain_edges(piece: str, plain, tok: dict, kept: set, adj: list, base: int) -> bool:
+    """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
+
+    On canonical lines the line loop's checks reduce to two: each new
+    token is below n (it cannot be below 0), and no line's two tokens
+    are equal.
+    A token that passes is stored in `tok` at once: `tok` only ever
+    holds valid tokens, so it stays right even when the piece is
+    declined, and the line loop then raises the exact error.  Only edges
+    with a kept endpoint are stored.  Never raises.
+    """
+    line, brk = plain
+    if not line.match(piece) or brk.search(piece):
+        return False
+    parts = piece.split()
+    width = base + 2
+    a, b = parts[base::width], parts[base + 1::width]
+    n = len(adj)
+    digits = len(str(n))  # a longer canonical token is out of range, and int() may refuse it
+    for t in filterfalse(tok.__contains__, chain(a, b)):
+        if len(t) > digits or (v := int(t) - base) >= n:
+            return False
+        tok[t] = v
+    if any(map(eq, a, b)):
+        return False
+    for x, y in compress(zip(a, b), map(kept.__contains__, a)):
+        adj[tok[x]].append(tok[y])
+    for x, y in compress(zip(a, b), map(kept.__contains__, b)):
+        adj[tok[y]].append(tok[x])
+    return True
 
 
 def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool) -> int | None:

@@ -1,10 +1,17 @@
+import io
 import itertools
+import os
 import random
+import tempfile
 from bisect import insort
+from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
 
-from meyniel.graph import Graph, GraphInputError, GraphParseError, build
+from meyniel import graph
+from meyniel.app import _summary, main
+from meyniel.certify import CertificateFormatError, CertificateInvalidError, decode
+from meyniel.graph import Graph, GraphInputError, GraphParseError, build, to_dimacs
 from meyniel.lexcolor import ColorTrace, ForcedOrderError, TieBreak
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
 from meyniel.oracle import _guard, _neighbor_mask
@@ -312,3 +319,47 @@ def _reference_parse_edgelist(text: str):
         raise GraphParseError(1, "empty input")
     return _reference_build(n, edges)
 
+
+def decode_outcome(g: Graph, data) -> tuple[int, str, str]:
+    """What `meyniel verify` must print for `data`, by `decode` on the fully built g.
+
+    (exit code, stdout, stderr), as `main` reports each outcome.
+    """
+    try:
+        cert = decode(g, data)
+    except CertificateInvalidError as exc:
+        return 1, f"INVALID: {exc}\n", ""
+    except CertificateFormatError as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, f"VALID {_summary(cert)}\n", ""
+
+
+def cli_verify(graph_path: str, cert_path: str) -> tuple[int, str, str]:
+    """`main(["verify", graph_path, cert_path])` in process: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", graph_path, cert_path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_verify_matches_decode(g: Graph, data) -> None:
+    """`meyniel verify` on g's DIMACS file prints what `decode` on the full g says.
+
+    The CLI reads only the cycle's adjacency for an obstruction.  It runs
+    at the default slice and at a small one, where every piece after the
+    header is a few lines and plain ones are taken in bulk.
+    """
+    want = decode_outcome(g, data)
+    saved = graph._SLICE
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, cert_path = os.path.join(tmp, "g.col"), os.path.join(tmp, "cert.json")
+        with open(graph_path, "w", encoding="utf-8") as fh:
+            fh.write(to_dimacs(g))
+        with open(cert_path, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        try:
+            for size in (saved, 16):
+                graph._SLICE = size
+                assert cli_verify(graph_path, cert_path) == want, size
+        finally:
+            graph._SLICE = saved

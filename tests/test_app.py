@@ -23,7 +23,13 @@ from meyniel.niceset import nice_check
 from meyniel.obstruction import InternalInvariantError, extract_obstruction
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
-from conftest import graphs, is_strong_stable_set, naive_lex_color
+from conftest import (
+    assert_verify_matches_decode,
+    cli_verify,
+    graphs,
+    is_strong_stable_set,
+    naive_lex_color,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -118,6 +124,7 @@ def test_pipeline_rejects_broken_certificate(monkeypatch, target, fake, pipeline
     (cert,) = made
     with pytest.raises(CertificateInvalidError) as rejection:
         decode(g, encode(cert))
+    assert_verify_matches_decode(g, encode(cert))
     assert str(failure.value) == f"{type(cert).__name__} failed verification: {rejection.value}"
 
 
@@ -184,11 +191,13 @@ def test_cli_verify_rejects_tampering(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path, str(out_file))
     assert code == 1
     assert out.startswith("INVALID: ")
+    assert_verify_matches_decode(g, json.dumps(doc))
 
     out_file.write_text("{broken")
     code, _, err = run(capsys, "verify", path, str(out_file))
     assert code == 2
     assert "error:" in err
+    assert_verify_matches_decode(g, "{broken")
 
 
 def test_cli_stableset(tmp_path, capsys):
@@ -224,7 +233,8 @@ def test_cli_oracle(tmp_path, capsys):
 
 def test_cli_stdin(capsys, monkeypatch):
     g = generate(GenSpec(family="complete", n=4))
-    monkeypatch.setattr("sys.stdin", io.StringIO(to_dimacs(g)))
+    # a real stdin has bytes underneath, which the CLI decodes as strict UTF-8
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(to_dimacs(g).encode()), encoding="utf-8"))
     code, out, _ = run(capsys, "solve", "-")
     assert code == 0
     assert out.splitlines()[0] == "OPTIMAL 4"
@@ -297,6 +307,89 @@ def test_cli_verify_hostile_certificates(tmp_path):
     res = verify(deep)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def obstruction_doc(cycle, chord=None) -> bytes:
+    return json.dumps({"chord": chord, "cycle": cycle, "kind": "obstruction"}).encode()
+
+
+def hostile_documents(g, cert):
+    """Documents built from g's obstruction `cert`: valid, tampered and hostile."""
+    cyc, chord = list(cert.cycle), cert.chord and list(cert.chord)
+    off = next(v for v in range(g.n) if v not in cyc)
+    yield encode(cert)
+    yield obstruction_doc(cyc[1:] + cyc[:1], chord)  # rotated: still valid
+    yield obstruction_doc(cyc[:-1] + [g.n])  # a cycle vertex out of range
+    yield obstruction_doc(cyc[:-1] + [-1])
+    yield obstruction_doc(cyc[:-1] + [10 ** 30])
+    yield obstruction_doc(cyc, [cyc[0], off])  # a chord off the cycle
+    yield obstruction_doc(cyc, [cyc[0], cyc[2]] if chord is None else None)  # chord declared wrongly
+    yield obstruction_doc([cyc[0], cyc[2], cyc[1], cyc[3], cyc[4]])  # undeclared chords, missing edges
+    yield obstruction_doc(cyc[:4] + [off])
+    yield obstruction_doc(cyc[:3])
+    yield obstruction_doc(cyc + [cyc[0], cyc[1]])
+    yield obstruction_doc([True] + cyc[1:])
+    yield obstruction_doc(cyc, "0-2")
+    yield b'{"kind":"obstruction","cycle":' + json.dumps(cyc).encode() + b"}"
+    yield b'{"kind":"optimal","coloring":[1000000000],"clique":[0]}'  # huge
+    yield b"[" * 200_000  # deep
+    yield b'{"kind":"obstruction","cycle":[' + b"[" * 100_000 + b"]}"
+    yield encode(cert)[:-1]
+    yield encode(cert).decode().replace("obstruction", "obs\\u0074ruction").encode()
+    yield b"\xff" + encode(cert)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_matches_decode_on_hostile_obstructions(seed):
+    """`verify` keeps only the cycle's adjacency, and prints what decode on the full graph does."""
+    g = generate(GenSpec(family="gnp", n=60, p=0.5, seed=seed))
+    cert = robust_solve(g)
+    assert isinstance(cert, MeynielObstruction)
+    for data in hostile_documents(g, cert):
+        assert_verify_matches_decode(g, data)
+
+
+def test_verify_reports_a_graph_error_first(tmp_path):
+    """A bad graph is reported before a missing or malformed certificate, as before."""
+    good = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 9\ne 5 1\n")
+    graph_error = "error: line 5: endpoint out of range in 'e 4 9'\n"
+    missing = str(tmp_path / "missing.json")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{broken")
+    valid = tmp_path / "valid.json"
+    valid.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
+    for cert in (missing, malformed, valid):
+        assert cli_verify(str(bad), str(cert)) == (2, "", graph_error)
+    code, out, err = cli_verify(good, missing)
+    assert (code, out) == (2, "") and err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    code, out, err = cli_verify(good, str(malformed))
+    assert (code, out) == (2, "") and err.startswith("error: not valid JSON: ")
+    assert cli_verify(good, str(valid)) == (0, "VALID OBSTRUCTION len=5 chords=0\n", "")
+    code, out, err = cli_verify(str(tmp_path / "nograph.col"), missing)
+    assert (code, out) == (2, "") and "nograph.col" in err
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_cli_stdin_is_strict_utf8(tmp_path, locale):
+    """Bad UTF-8 on stdin exits as it does from a path, whatever the locale."""
+    data = b"p edge 2 1\nc \xff\ne 1 2\n"
+    path = tmp_path / "bad.col"
+    path.write_bytes(data)
+    env = child_env()
+    env.pop("PYTHONIOENCODING", None)
+    env.pop("PYTHONUTF8", None)
+    env["LC_ALL"] = locale
+
+    def solve(source, stdin):
+        res = subprocess.run([sys.executable, "-m", "meyniel", "solve", source], input=stdin,
+                             env=env, capture_output=True)
+        return res.returncode, res.stdout, res.stderr
+
+    want = (2, b"", b"error: graph input is not valid UTF-8: invalid start byte\n")
+    assert solve(str(path), b"") == want
+    assert solve("-", data) == want
 
 
 @pytest.mark.parametrize("exc", [InternalInvariantError("stuck at color 2"), MemoryError()])

@@ -21,13 +21,19 @@ from meyniel.certify import (
 from meyniel.graph import build
 from meyniel.app import robust_solve, robust_stable_set
 
-from conftest import graphs
+from conftest import assert_verify_matches_decode, graphs
 
 
 def cycle_graph(n, chords=()):
     es = [(i, (i + 1) % n) for i in range(n)]
     es += list(chords)
     return build(n, es)
+
+
+def obstruction_verdict(g, ob):
+    """verify_obstruction(g, ob), once `meyniel verify` of ob agrees with decode on g."""
+    assert_verify_matches_decode(g, encode(ob))
+    return verify_obstruction(g, ob)
 
 
 def test_verdict_truthiness():
@@ -105,59 +111,59 @@ def test_optimal_pair_size_check():
 class TestVerifyObstruction:
     def test_chordless_cycle(self):
         g = cycle_graph(5)
-        assert verify_obstruction(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4)))
+        assert obstruction_verdict(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4)))
 
     def test_one_chord(self):
         g = cycle_graph(5, [(0, 2)])
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2))
-        assert verify_obstruction(g, ob)
+        assert obstruction_verdict(g, ob)
 
     def test_too_short(self):
         g = build(3, [(0, 1), (1, 2), (2, 0)])
-        v = verify_obstruction(g, MeynielObstruction(cycle=(0, 1, 2)))
+        v = obstruction_verdict(g, MeynielObstruction(cycle=(0, 1, 2)))
         assert "3 < 5" in v.reason
 
     def test_even_length(self):
         g = cycle_graph(6)
-        v = verify_obstruction(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4, 5)))
+        v = obstruction_verdict(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4, 5)))
         assert "even" in v.reason
 
     def test_repeats_and_range(self):
         g = cycle_graph(5)
-        assert "repeated" in verify_obstruction(
+        assert "repeated" in obstruction_verdict(
             g, MeynielObstruction(cycle=(0, 1, 2, 3, 0))).reason
-        assert "out of range" in verify_obstruction(
+        assert "out of range" in obstruction_verdict(
             g, MeynielObstruction(cycle=(0, 1, 2, 3, 7))).reason
 
     def test_missing_cycle_edge(self):
         g = cycle_graph(5)
-        v = verify_obstruction(g, MeynielObstruction(cycle=(0, 1, 2, 4, 3)))
+        v = obstruction_verdict(g, MeynielObstruction(cycle=(0, 1, 2, 4, 3)))
         assert "not adjacent" in v.reason
 
     def test_chord_must_use_cycle_vertices(self):
         g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 5))
-        assert "not a pair of cycle vertices" in verify_obstruction(g, ob).reason
+        assert "not a pair of cycle vertices" in obstruction_verdict(g, ob).reason
 
     def test_chord_cannot_be_cycle_edge(self):
         g = cycle_graph(5)
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(3, 4))
-        assert "consecutive" in verify_obstruction(g, ob).reason
+        assert "consecutive" in obstruction_verdict(g, ob).reason
 
     def test_undeclared_chord(self):
         g = cycle_graph(5, [(0, 2)])
-        v = verify_obstruction(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4)))
+        v = obstruction_verdict(g, MeynielObstruction(cycle=(0, 1, 2, 3, 4)))
         assert v.reason == "undeclared chord 0-2"
 
     def test_second_chord_rejected(self):
         g = cycle_graph(5, [(0, 2), (1, 3)])
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2))
-        assert "undeclared chord 1-3" == verify_obstruction(g, ob).reason
+        assert "undeclared chord 1-3" == obstruction_verdict(g, ob).reason
 
     def test_declared_chord_absent(self):
         g = cycle_graph(5)
         ob = MeynielObstruction(cycle=(0, 1, 2, 3, 4), chord=(0, 2))
-        assert "declared chord 0-2 is not an edge" == verify_obstruction(g, ob).reason
+        assert "declared chord 0-2 is not an edge" == obstruction_verdict(g, ob).reason
 
     # The 7-cycle 6, 5, ..., 0 with chords at cycle positions (1, 4), (2, 6)
     # and (3, 5): the reason names the first undeclared one in (i, j)
@@ -171,7 +177,7 @@ class TestVerifyObstruction:
 
     @pytest.mark.parametrize("at", [[(2, 6), (1, 4)], [(3, 5), (2, 6), (1, 4)]])
     def test_first_undeclared_chord_in_cycle_order(self, at):
-        v = verify_obstruction(self.chorded(*at), MeynielObstruction(cycle=self.CYCLE))
+        v = obstruction_verdict(self.chorded(*at), MeynielObstruction(cycle=self.CYCLE))
         assert v.reason == "undeclared chord 2-5"
 
     @pytest.mark.parametrize("at, declared, named", [
@@ -183,7 +189,7 @@ class TestVerifyObstruction:
     def test_undeclared_chord_beside_a_declared_one(self, at, declared, named):
         g = self.chorded(*at)
         ob = MeynielObstruction(cycle=self.CYCLE, chord=declared)
-        assert verify_obstruction(g, ob).reason == f"undeclared chord {named}"
+        assert obstruction_verdict(g, ob).reason == f"undeclared chord {named}"
 
 
 def test_encode_is_canonical():
@@ -210,6 +216,7 @@ def test_round_trip_all_kinds():
     # decode -> encode is byte identical
     for graph, cert in [(g, ob), (h, opt), (hh, nice)]:
         blob = encode(cert)
+        assert_verify_matches_decode(graph, blob)
         back = decode(graph, blob)
         assert type(back) is type(cert)
         assert encode(back) == blob
@@ -219,6 +226,7 @@ def test_round_trip_all_kinds():
 @settings(max_examples=150)
 def test_solver_output_round_trips(g):
     cert = robust_solve(g)
+    assert_verify_matches_decode(g, encode(cert))
     back = decode(g, encode(cert))
     assert back == cert and type(back) is type(cert)
 
@@ -256,7 +264,11 @@ def graphs_and_documents(draw):
 
 
 def decodes_or_rejects(g, data):
-    """decode raises only its two documented errors; a result re-encodes exactly."""
+    """decode raises only its two documented errors; a result re-encodes exactly.
+
+    `meyniel verify` of the same document agrees with decode.
+    """
+    assert_verify_matches_decode(g, data)
     try:
         cert = decode(g, data)
     except (CertificateFormatError, CertificateInvalidError):
@@ -287,6 +299,7 @@ class TestDecodeRejects:
     def expect_format(self, data):
         with pytest.raises(CertificateFormatError):
             decode(self.g5, data)
+        assert_verify_matches_decode(self.g5, data)
 
     def test_not_json(self):
         self.expect_format(b"{nope")
@@ -322,12 +335,14 @@ class TestDecodeRejects:
         self.expect_format(b'{"chord":"0-2","cycle":[0,1,2,3,4],"kind":"obstruction"}')
 
     def test_semantic_failures_are_invalid_not_format(self):
+        even = b'{"chord":null,"cycle":[0,1,2,3,4,5],"kind":"obstruction"}'
         with pytest.raises(CertificateInvalidError, match="even"):
-            decode(cycle_graph(6),
-                   b'{"chord":null,"cycle":[0,1,2,3,4,5],"kind":"obstruction"}')
+            decode(cycle_graph(6), even)
+        assert_verify_matches_decode(cycle_graph(6), even)
         g = build(2, [(0, 1)])
         with pytest.raises(CertificateInvalidError, match="monochromatic"):
             decode(g, b'{"clique":[0],"coloring":[1,1],"kind":"optimal"}')
+        assert_verify_matches_decode(g, b'{"clique":[0],"coloring":[1,1],"kind":"optimal"}')
 
     def test_nice_kind_is_reverified(self):
         g = build(4, [(0, 1), (1, 2), (2, 3)])
@@ -339,6 +354,8 @@ class TestDecodeRejects:
             decode(g, b'{"kind":"nice_stable_set","order":[0,3]}')
         cert = decode(g, b'{"kind":"nice_stable_set","order":[0,2]}')
         assert cert == NiceStableSetCert(order=(0, 2))
+        for order in (b"[0,1]", b"[0]", b"[0,3]", b"[0,2]"):
+            assert_verify_matches_decode(g, b'{"kind":"nice_stable_set","order":' + order + b"}")
 
 
 def test_tampered_solver_cert_rejected():
@@ -349,3 +366,4 @@ def test_tampered_solver_cert_rejected():
     doc["coloring"][3] = doc["coloring"][2]
     with pytest.raises(CertificateInvalidError):
         decode(g, json.dumps(doc))
+    assert_verify_matches_decode(g, json.dumps(doc))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel import graph
-from meyniel.app import _read_graph
+from meyniel.app import _read_graph, main
 from meyniel.graph import (
     GenSpec,
     GraphInputError,
@@ -230,9 +231,36 @@ def parse_outcome(parser, source, fmt):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-def _check_against_reference(text: str, fmt: str) -> None:
-    # parse_stream reads the same text block by block: same graph or same error
-    assert parse_outcome(parse_stream, io.StringIO(text), fmt) == parse_outcome(parse, text, fmt)
+def keep_outcome(text: str, fmt: str, keep) -> tuple:
+    """`parse_stream` with `keep`: n and every vertex's tuple, or its error."""
+    got = parse_outcome(lambda src, f: parse_stream(src, f, keep=keep), io.StringIO(text), fmt)
+    if isinstance(got, graph.Graph):
+        return got.n, tuple(got.neighbors(v) for v in range(got.n))
+    return got
+
+
+def kept_view(full, keep) -> tuple:
+    """What a keep parse must give when the full parse gave `full`."""
+    if isinstance(full, graph.Graph):
+        return full.n, tuple(full.neighbors(v) if v in keep else () for v in range(full.n))
+    return full
+
+
+def _check_against_reference(text: str, fmt: str, keeps=(), slices=SLICES) -> None:
+    # at every slice size, parse_stream reads the same text block by block
+    # and gives the same graph or the same error; with a keep set it gives
+    # the same error, or the full parse's tuples for the kept vertices only
+    want = parse_outcome(parse, text, fmt)
+    saved = graph._SLICE
+    try:
+        for size in slices:
+            graph._SLICE = size
+            assert parse_outcome(parse, text, fmt) == want, size
+            assert parse_outcome(parse_stream, io.StringIO(text), fmt) == want, size
+            for keep in keeps:
+                assert keep_outcome(text, fmt, keep) == kept_view(want, keep), (size, keep)
+    finally:
+        graph._SLICE = saved
     try:
         want = reference_parse(text, fmt)
     except GraphInputError as exc:
@@ -254,17 +282,12 @@ def _check_against_reference(text: str, fmt: str) -> None:
     st.integers(0, 50),
     st.sampled_from(("none",) * 3 + FAULTS),
     st.sampled_from(["\n", "\r\n", "\r", "\v", "\x1c", " "]),
-    st.sampled_from(SLICES),
+    st.lists(st.sets(st.integers(0, 55), max_size=8), min_size=1, max_size=3),
     st.randoms(use_true_random=True),
 )
-def test_parse_matches_reference(fmt, n, fault, newline, slice_size, rng):
+def test_parse_matches_reference(fmt, n, fault, newline, keeps, rng):
     text = graph_text(rng, fmt, n, fault, newline)
-    saved = graph._SLICE
-    graph._SLICE = slice_size
-    try:
-        _check_against_reference(text, fmt)
-    finally:
-        graph._SLICE = saved
+    _check_against_reference(text, fmt, [set()] + keeps)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -299,6 +322,96 @@ def test_read_graph_never_holds_the_file(tmp_path):
         tracemalloc.stop()
     assert g.n == 1000 and size > 2_000_000
     assert peak - kept < size / 2, (peak - kept, size)
+
+
+def test_read_graph_with_keep_holds_a_fraction_of_the_graph(tmp_path):
+    """Keeping 5 vertices of G(1000, 1/2) peaks under a quarter of what the full graph holds."""
+    path = tmp_path / "dense.col"
+    with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        assert main(["gen", "--family", "gnp", "--n", "1000", "--p", "0.5", "--seed", "1"]) == 0
+    tracemalloc.start()
+    try:
+        g = _read_graph(str(path), "dimacs")
+        full, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keep = {0, 1, 2, 500, 999}
+    tracemalloc.start()
+    try:
+        h = _read_graph(str(path), "dimacs", keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m > 200_000
+    assert [h.neighbors(v) for v in range(h.n)] == [g.neighbors(v) if v in keep else () for v in range(g.n)]
+    assert peak < full / 4, (peak, full)
+
+
+# Faults that fit a plain line's width: `plain_pieces_text` puts one on
+# the last line of a plain piece, or ends the text without its "\n"
+BULK_FAULTS = {
+    "range": "123 999", "loop": "123 123", "zero": "123 045", "plus": "123 +45",
+    "digit": "123 4٣5", "tab": "123\t456", "space": "12 456 ", "comment": None,
+    "newline": None,
+}
+
+
+def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
+    """A text of 400 canonical edge lines, n = 998, with `fault` injected.
+
+    Returns the text, the fault's line number, and the index among the
+    `_plain_edges` calls of the piece that holds it (-1: the last one).
+    Every edge line has the same width, so the fault leaves the pieces
+    where the clean text has them; `spy` holds (piece, taken) of each
+    call, and the clean text's calls are cleared.
+    """
+    rng = random.Random(fmt + fault)
+    tag = "e " if fmt == "dimacs" else ""
+    lines = ["p edge 998 400" if fmt == "dimacs" else "998"]
+    lines += [f"{tag}{u} {v}" for u, v in (rng.sample(range(100, 998), 2) for _ in range(400))]
+    parse_stream(io.StringIO("\n".join(lines) + "\n"), fmt, keep=set())
+    taken = [k for k, (_, ok) in enumerate(spy) if ok]
+    assert len(taken) > 10
+    counts = [piece.count("\n") for piece, _ in spy]
+    first = len(lines) - sum(counts)  # lines of the header's piece, read before the keep set applies
+    k = taken[2]
+    at = first + sum(counts[:k + 1])  # the last line of a plain piece
+    spy.clear()
+    if fault == "newline":
+        return "\n".join(lines), len(lines), -1
+    if fault == "comment":
+        lines[at - 1] = "c 1234567" if fmt == "dimacs" else " " * len(lines[at - 1])
+    else:
+        lines[at - 1] = tag + BULK_FAULTS[fault]
+    return "\n".join(lines) + "\n", at, k
+
+
+@pytest.mark.parametrize("fault", BULK_FAULTS)
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
+    """Plain pieces are taken in bulk; the faulty one falls back to the line loop."""
+    spy = []
+    bulk = graph._plain_edges
+
+    def spied(piece, *args):
+        spy.append((piece, bulk(piece, *args)))
+        return spy[-1][1]
+
+    monkeypatch.setattr(graph, "_plain_edges", spied)
+    monkeypatch.setattr(graph, "_SLICE", 400)  # keep blocks of 100 characters
+    text, at, k = plain_pieces_text(fmt, fault, spy)
+    base = 1 if fmt == "dimacs" else 0
+    keep = {v - base for v in (12, 45, 123, 456, 997)} | {5, 700}
+    want = kept_view(parse_outcome(parse, text, fmt), keep)
+    assert keep_outcome(text, fmt, keep) == want
+    taken = [ok for _, ok in spy]
+    k %= len(taken)
+    assert any(taken[:k]) and not taken[k]
+    if fault in ("range", "loop"):
+        assert want[:2] == (GraphParseError, at)
+    else:
+        assert isinstance(want[0], int)
+        assert fault == "newline" or any(taken[k + 1:])
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():
@@ -342,7 +455,7 @@ def test_parse_across_many_slices_matches_reference(fmt, fault):
         lines.insert(len(lines) - 25, bad)
     text = "\n".join(lines) + "\n"
     assert len(text) > 2 * graph._SLICE
-    _check_against_reference(text, fmt)
+    _check_against_reference(text, fmt, [set(), {0, 6, 7, n - 1}], slices=(64, graph._SLICE))
 
 
 def _edgelist(g) -> str:

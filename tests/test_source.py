@@ -1,4 +1,5 @@
-"""Source checks: no module in meyniel imports a name that it never reads."""
+"""Source checks: no module in meyniel imports a name that it never reads,
+and the verifiers in `certify` import nothing of the solver."""
 
 import ast
 import pathlib
@@ -49,3 +50,41 @@ def test_catches_a_leftover_import_in_app(name, module):
         elif isinstance(node, ast.Name) and node.id == name:
             node.id = "ValueError"
     assert unused_imports(tree) == {"parse", name}
+
+
+# The one deliberate duplication: the verifiers share no code with the
+# procedures that build the certificates (nor with the CLI around them).
+SOLVER_MODULES = {"obstruction", "lexcolor", "clique", "app"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The `meyniel` modules a module imports, by any form of import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("meyniel"):
+                continue
+            base = (node.module or "").removeprefix("meyniel").lstrip(".")
+            names = [base] if base else [a.name for a in node.names]
+        else:
+            continue
+        found.update(name.removeprefix("meyniel.").split(".")[0] for name in names)
+    return found & set(MODULES)
+
+
+def test_certify_imports_nothing_of_the_solver():
+    assert not imported_modules(module_tree("certify")) & SOLVER_MODULES
+
+
+@pytest.mark.parametrize("planted", [
+    "from .obstruction import extract_obstruction",
+    "from . import lexcolor",
+    "from meyniel.clique import greedy_clique",
+    "import meyniel.app",
+])
+def test_catches_a_solver_import_in_certify(planted):
+    tree = module_tree("certify")
+    tree.body[:0] = ast.parse(planted).body
+    assert imported_modules(tree) & SOLVER_MODULES
