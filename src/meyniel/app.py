@@ -15,13 +15,14 @@ import sys
 
 from .certify import (
     Certificate,
+    CertificateFormatError,
     CertificateInvalidError,
     MeynielObstruction,
     NiceStableSetCert,
     OptimalPair,
     decode,
     encode,
-    obstruction_vertices,
+    load,
     verify_nice_order,
     verify_obstruction,
     verify_optimal_pair,
@@ -146,22 +147,25 @@ def _read_graph(path: str, fmt: str, keep=None) -> Graph:
             return parse_stream(fh, fmt, keep)
     except UnicodeDecodeError as exc:  # its position counts from the block, not the file
         raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
+    except MemoryError:  # the input, not the program, is at fault
+        raise GraphInputError("graph input is too large: out of memory while reading it") from None
 
 
 def _verify(path: str, fmt: str, cert_path: str) -> int:
     """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
 
-    The certificate is read first, so that an obstruction's graph keeps
-    only the cycle's adjacency.  An error reading it waits until the
-    graph has been read, so a graph error is still reported first.
+    The certificate is loaded first, so that an obstruction's graph keeps
+    only the cycle's adjacency.  An error reading or loading it waits
+    until the graph has been read, so a graph error still comes first.
     """
     try:
         with open(cert_path, "rb") as fh:
             data = fh.read()
-    except OSError:
+        cert = load(data)
+    except (OSError, CertificateFormatError):
         _read_graph(path, fmt, keep=())
         raise
-    g = _read_graph(path, fmt, obstruction_vertices(data))
+    g = _read_graph(path, fmt, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
     try:
         cert = decode(g, data)
     except CertificateInvalidError as exc:

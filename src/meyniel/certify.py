@@ -223,37 +223,11 @@ def encode(cert: Certificate) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
-def obstruction_vertices(data: bytes | str) -> set[int] | None:
-    """The cycle's vertices if `data` looks like an obstruction document, else None.
+def load(data: bytes | str) -> Certificate:
+    """Parse a certificate document without checking it against a graph.
 
-    Never raises.  When `decode(g, data)` reaches `verify_obstruction`,
-    these are all the vertices it asks about, so g needs the adjacency
-    of these vertices only.  A cheap substring test comes first, so
-    other documents are not parsed twice.
-    """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    if '"obstruction"' not in data:
-        return None
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError):
-        return None
-    cycle = doc.get("cycle") if isinstance(doc, dict) and doc.get("kind") == "obstruction" else None
-    if not isinstance(cycle, list) or not all(map(_is_int, cycle)):
-        return None
-    return set(cycle)
-
-
-def decode(g: Graph, data: bytes | str) -> Certificate:
-    """Parse and fully re-verify a certificate document against g.
-
-    Raises CertificateFormatError for malformed documents and
-    CertificateInvalidError when verification against the graph fails.
-    Returns the same certificate object the solver would have produced.
+    Raises CertificateFormatError for a document that is not UTF-8, not
+    JSON, or not one of the three certificate schemas.
     """
     if isinstance(data, bytes):
         try:
@@ -271,9 +245,8 @@ def decode(g: Graph, data: bytes | str) -> Certificate:
     kind = doc.get("kind")
     if kind == "optimal":
         _require_keys(doc, "coloring", "clique")
-        cert = OptimalPair(coloring=_int_list(doc, "coloring"), clique=_int_list(doc, "clique"))
-        verdict = verify_optimal_pair(g, cert.coloring, cert.clique)
-    elif kind == "obstruction":
+        return OptimalPair(coloring=_int_list(doc, "coloring"), clique=_int_list(doc, "clique"))
+    if kind == "obstruction":
         _require_keys(doc, "cycle", "chord")
         cycle = _int_list(doc, "cycle")
         chord = doc["chord"]
@@ -281,14 +254,27 @@ def decode(g: Graph, data: bytes | str) -> Certificate:
             if not isinstance(chord, list) or len(chord) != 2 or not all(map(_is_int, chord)):
                 raise CertificateFormatError("field 'chord' must be null or a pair of integers")
             chord = tuple(chord)
-        cert = MeynielObstruction(cycle=cycle, chord=chord)
-        verdict = verify_obstruction(g, cert)
-    elif kind == "nice_stable_set":
+        return MeynielObstruction(cycle=cycle, chord=chord)
+    if kind == "nice_stable_set":
         _require_keys(doc, "order")
-        cert = NiceStableSetCert(order=_int_list(doc, "order"))
-        verdict = verify_nice_order(g, cert.order)
+        return NiceStableSetCert(order=_int_list(doc, "order"))
+    raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+
+
+def decode(g: Graph, data: bytes | str) -> Certificate:
+    """`load` a certificate document and fully re-verify it against g.
+
+    Raises CertificateFormatError for malformed documents and
+    CertificateInvalidError when verification against the graph fails.
+    Returns the same certificate object the solver would have produced.
+    """
+    cert = load(data)
+    if isinstance(cert, OptimalPair):
+        verdict = verify_optimal_pair(g, cert.coloring, cert.clique)
+    elif isinstance(cert, MeynielObstruction):
+        verdict = verify_obstruction(g, cert)
     else:
-        raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+        verdict = verify_nice_order(g, cert.order)
     if not verdict:
         raise CertificateInvalidError(verdict.reason)
     return cert

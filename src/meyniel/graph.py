@@ -7,26 +7,25 @@ edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
 immutable once built.
 
 One streaming loop parses both text formats.  It takes the text as
-pieces of about 64 KiB, each ending just after a "\n", so only one
+pieces of about 16 KiB, each ending just after a "\n", so only one
 piece's lines exist at once.  `parse` cuts a str into such pieces;
 `parse_stream` reads them from a text file object, so a file's text is
-never held whole.  The loop's hot branch takes edge lines and interns
-their endpoint tokens: a token seen before costs one dict lookup, and
-every occurrence of it shares one int object in the neighbor tuples.
-Every other line (header, comment, blank or malformed) goes to one cold
-helper.  The token dict lives until
-the graph is built; it is largest when every token is distinct, as in a
+never held whole.  A piece after the header made only of canonical edge
+lines ("e 12 7", single spaces, no leading zeros) is checked in bulk:
+matched whole by one regex, split once, each new token range-checked
+once.  Any other piece takes the line loop, whose hot branch takes
+edge lines; every other line (header, comment, blank or malformed)
+goes to one cold helper.  Both routes intern endpoint tokens: a token
+seen before costs one dict lookup, and every occurrence of it shares
+one int object in the neighbor tuples.  The token dict lives until the
+graph is built; it is largest when every token is distinct, as in a
 perfect matching.
 
 `parse_stream` can also keep a set of vertices: only they get neighbor
 tuples, each complete, and every other vertex gets `()`.  Such a graph
 answers only questions about kept vertices, and its `m` counts only the
 stored edges; `meyniel verify` reads an obstruction's graph this way,
-keeping the cycle.  Every line is still checked, with the same errors.
-A piece made only of canonical edge lines ("e 12 7", single spaces, no
-leading zeros) is then checked in bulk: split once, each new token
-range-checked once, self-loops found by string equality.  Any other
-piece takes the line loop.
+keeping the cycle.  The pieces, their checks and errors are the same.
 
 `dimacs_pieces` serializes a graph the other way, one vertex's edge
 lines at a time, so writing a graph holds no edge list and no whole text.
@@ -38,7 +37,7 @@ import random
 import re
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, compress, filterfalse
+from itertools import compress
 from operator import eq
 from typing import NamedTuple
 
@@ -158,29 +157,29 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
 def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
     """`parse` of the text that a text file object `fh` reads.
 
-    Reads `fh.read(_SLICE)` blocks until EOF, so only about one block of
-    the text is held at a time.  Lines, line numbers and errors are those
-    of `parse(fh.read(), fmt)`, except that an error `fh` raises while
-    reading (such as a UnicodeDecodeError) comes only when its block is
-    read, after any error in the lines before it.
+    Reads `fh.read(_SLICE)` blocks (16 KiB) until EOF, so only about one
+    block of the text is held at a time.  Lines, line numbers and errors
+    are those of `parse(fh.read(), fmt)`, except that an error `fh` raises
+    while reading (such as a UnicodeDecodeError) comes only when its block
+    is read, after any error in the lines before it.
 
     With `keep`, a set of vertices, only the kept vertices get neighbor
     tuples, each one complete; every other vertex gets `()`, and `m`
     (half the stored neighbor entries) counts only the stored edges.
-    Such a graph answers only questions about kept vertices.  Every line
-    is still checked, so the errors are the same as without `keep`.
-    Kept vertices outside 0..n-1 are ignored.
+    Such a graph answers only questions about kept vertices.  The blocks
+    and the route each takes do not depend on `keep`, so the errors are
+    the same as without it.  Kept vertices outside 0..n-1 are ignored.
     """
-    # with `keep`, blocks of a quarter slice bound the token lists of `_plain_edges`
-    return _parse(_file_pieces(fh, _SLICE if keep is None else max(_SLICE // 4, 1)), fmt, keep)
+    return _parse(_file_pieces(fh), fmt, keep)
 
 
 # The parse loop takes the text in pieces that end just after a "\n",
 # about every _SLICE characters (the last piece may end without one).
 # A cut after "\n" is also a `str.splitlines` boundary, so lines and line
 # numbers match splitting the whole text, without holding every line or
-# the whole text at once.
-_SLICE = 1 << 16
+# the whole text at once.  At 16 KiB the token lists that `_plain_edges`
+# splits from a piece stay small beside the graph.
+_SLICE = 1 << 14
 
 
 def _text_pieces(text: str):
@@ -191,12 +190,12 @@ def _text_pieces(text: str):
         start = cut
 
 
-def _file_pieces(fh, size: int):
+def _file_pieces(fh):
     # Each block is cut after its last "\n" and the tail carried on.  A
     # block without "\n" is only held, and the held blocks are joined
     # once, so one huge line costs linear time, not quadratic.
     held: list[str] = []
-    while block := fh.read(size):
+    while block := fh.read(_SLICE):
         cut = block.rfind("\n") + 1
         if cut:
             held.append(block[:cut])
@@ -222,11 +221,31 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse(pieces, fmt: str, keep=None) -> Graph:
-    """Both formats in one pass: edge lines take the hot branch, the rest `_other_line`.
+class _Tokens(dict):
+    """Endpoint token -> 0-based vertex, holding only tokens that passed every check.
 
-    With `keep`, a piece of canonical edge lines goes to `_plain_edges`
-    first; any other piece, or one it declines, takes the line loop.
+    `[]` of a canonical token not seen before range-checks and adds it, or raises KeyError.
+    """
+
+    __slots__ = ("base", "n", "digits")
+
+    def __init__(self, base: int, n: int):
+        super().__init__()
+        # a canonical token with more digits than n is out of range, and int() may refuse it
+        self.base, self.n, self.digits = base, n, len(str(n))
+
+    def __missing__(self, t: str) -> int:
+        if len(t) > self.digits or (v := int(t) - self.base) >= self.n:
+            raise KeyError(t)
+        self[t] = v
+        return v
+
+
+def _parse(pieces, fmt: str, keep=None) -> Graph:
+    """Both formats in one pass; `keep` as in `parse_stream`.
+
+    After the header each piece goes to `_plain_edges`, and one it
+    declines to the line loop.
     """
     if fmt not in ("dimacs", "edgelist"):
         raise GraphInputError(f"unknown format {fmt!r}")
@@ -237,14 +256,15 @@ def _parse(pieces, fmt: str, keep=None) -> Graph:
     n = 0
     adj = None  # per-vertex neighbor lists, created by the header line
     width = -1  # parts in an edge line; no line matches before the header
-    tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
-    get = tok.get
-    kept = None  # with keep: the canonical tokens of the kept vertices
-    if keep is not None:
-        plain = _plain_patterns(dimacs)
+    tok = get = None  # the endpoint tokens, created by the header line
+    kept = None  # with keep: the kept vertices in 0..n-1
+    # whole pieces of canonical edge lines (a lone "0" is an edge-list vertex); possessive
+    # quantifiers keep the regex engine from stacking backtracking state per line
+    num = "[1-9][0-9]*+" if dimacs else "(?:0|[1-9][0-9]*+)"
+    plain = re.compile(f"(?:e {num} {num}\n)*+" if dimacs else f"(?:{num} {num}\n)*+")
     ln = 0
     for piece in pieces:
-        if kept is not None and _plain_edges(piece, plain, tok, kept, adj, base):
+        if adj is not None and _plain_edges(piece, plain, tok, kept, adj, base):
             ln += piece.count("\n")
             continue
         for ln, raw in enumerate(piece.splitlines(), ln + 1):
@@ -260,63 +280,50 @@ def _parse(pieces, fmt: str, keep=None) -> Graph:
                 adj[v].append(u)
             elif (count := _other_line(parts, raw, ln, dimacs, adj is not None)) is not None:
                 n = count
+                tok = _Tokens(base, n)
+                get = tok.get
                 if keep is None:
                     adj = [[] for _ in range(n)]
                 else:  # one discarding sink for every vertex that is not kept
                     adj = [deque(maxlen=0)] * n
-                    ids = [v for v in keep if 0 <= v < n]
-                    for v in ids:
+                    kept = {v for v in keep if 0 <= v < n}
+                    for v in kept:
                         adj[v] = []
-                    kept = {str(v + base) for v in ids}
                 width = last + 1
     if adj is None:
         raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
     return _freeze(adj)
 
 
-def _plain_patterns(dimacs: bool) -> tuple[re.Pattern, re.Pattern]:
-    """The canonical edge line, and a "\n" that neither ends the piece nor starts one.
-
-    Canonical: ASCII digits without a leading zero (a lone "0" is an
-    edge-list vertex), single spaces, and "\n".  A piece is plain when
-    its first line is canonical and the second pattern is not found.  A
-    search keeps the regex engine's memory constant, where a fullmatch
-    of `(?:line)*` would stack state for every line.
-    """
-    num = "[1-9][0-9]*" if dimacs else "(?:0|[1-9][0-9]*)"
-    line = f"e {num} {num}\n" if dimacs else f"{num} {num}\n"
-    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
-
-
-def _plain_edges(piece: str, plain, tok: dict, kept: set, adj: list, base: int) -> bool:
+def _plain_edges(piece: str, plain: re.Pattern, tok: _Tokens, kept: set | None, adj: list, base: int) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
     On canonical lines the line loop's checks reduce to two: each new
-    token is below n (it cannot be below 0), and no line's two tokens
-    are equal.
-    A token that passes is stored in `tok` at once: `tok` only ever
-    holds valid tokens, so it stays right even when the piece is
-    declined, and the line loop then raises the exact error.  Only edges
-    with a kept endpoint are stored.  Never raises.
+    token is below n (it cannot be below 0), which `tok` checks, and no
+    line's two endpoints are equal.  `tok` keeps the tokens that pass
+    even when the piece is declined; the line loop then raises the
+    exact error.  With `kept`, a set of vertices, only edges with a kept
+    endpoint are stored; with None, every edge.  Never raises.
     """
-    line, brk = plain
-    if not line.match(piece) or brk.search(piece):
+    if not plain.fullmatch(piece):
         return False
     parts = piece.split()
-    width = base + 2
-    a, b = parts[base::width], parts[base + 1::width]
-    n = len(adj)
-    digits = len(str(n))  # a longer canonical token is out of range, and int() may refuse it
-    for t in filterfalse(tok.__contains__, chain(a, b)):
-        if len(t) > digits or (v := int(t) - base) >= n:
-            return False
-        tok[t] = v
-    if any(map(eq, a, b)):
+    a, b = parts[base::base + 2], parts[base + 1::base + 2]
+    try:
+        us, vs = list(map(tok.__getitem__, a)), list(map(tok.__getitem__, b))
+    except KeyError:  # a token out of range
         return False
-    for x, y in compress(zip(a, b), map(kept.__contains__, a)):
-        adj[tok[x]].append(tok[y])
-    for x, y in compress(zip(a, b), map(kept.__contains__, b)):
-        adj[tok[y]].append(tok[x])
+    if any(map(eq, us, vs)):
+        return False
+    if kept is None:
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        return True
+    for u, v in compress(zip(us, vs), map(kept.__contains__, us)):
+        adj[u].append(v)
+    for u, v in compress(zip(us, vs), map(kept.__contains__, vs)):
+        adj[v].append(u)
     return True
 
 

@@ -8,6 +8,7 @@ certificate tampering.
 Run with -rA (or -s) to see the summary lines for passing tests too.
 """
 
+import hashlib
 import random
 import statistics
 import time
@@ -44,12 +45,23 @@ def certified(g, cert):
     return back == cert and type(back) is type(cert)
 
 
+# sha256 of the concatenated `encode` output of each sweep below: a change
+# to the algorithm, its tie-breaks or the wire form shows up here first
+SIX_VERTEX_SOLVE_SHA256 = "be2f1323013ec5f21a366ee3b09432b1491416b360a513f2d7c25ee86e2935ad"
+SIX_VERTEX_STRIPPING_SHA256 = "4548adf1e752fbd8b51cfd6201ec057de26633327fb035ca80b82fab6f542397"
+RANDOM_SWEEP_SHA256 = "326643ca15920c60b0ca6c74418f246e61685d473251005769126cb418554977"
+STABLE_SET_SWEEP_SHA256 = "b097ed37aa74d45a6661ffad3596a07aadaf69f89947ebca88bb057734a0c131"
+
+
 def test_exhaustive_six_vertex_sweep():
     t0 = time.perf_counter()
     total = optimal = obstructed = 0
+    solved, stripped = hashlib.sha256(), hashlib.sha256()
     for g in all_graphs(6):
         cert = robust_solve(g)
         assert certified(g, cert)
+        solved.update(encode(cert))
+        stripped.update(encode(color_via_stable_sets(g)))
         if isinstance(cert, OptimalPair):
             optimal += 1
             k = cert.num_colors
@@ -58,6 +70,8 @@ def test_exhaustive_six_vertex_sweep():
             obstructed += 1
         total += 1
     elapsed = time.perf_counter() - t0
+    assert solved.hexdigest() == SIX_VERTEX_SOLVE_SHA256
+    assert stripped.hexdigest() == SIX_VERTEX_STRIPPING_SHA256
     report(
         "every graph on 6 vertices gets a verified certificate",
         total == 32768 and elapsed < 120.0,
@@ -69,11 +83,13 @@ def test_random_sweep_with_oracle_cross_checks():
     rng = random.Random(2024)
     bad = 0
     optimal = obstructed = 0
+    digest = hashlib.sha256()
     for t in range(10000):
         n = 7 + t % 6
         p = (t % 9 + 1) / 10
         g = random_graph(rng, n, p)
         cert = robust_solve(g)
+        digest.update(encode(cert))
         if not certified(g, cert):
             bad += 1
             continue
@@ -85,6 +101,7 @@ def test_random_sweep_with_oracle_cross_checks():
             obstructed += 1
             if n <= 10 and is_meyniel_bf(g):
                 bad += 1
+    assert digest.hexdigest() == RANDOM_SWEEP_SHA256
     report(
         "10000 random graphs: certificates verify, oracles concur",
         bad == 0,
@@ -156,11 +173,13 @@ def test_structured_families_always_color():
 def test_stable_set_for_every_vertex():
     rng = random.Random(4242)
     bad = nice_n = obstructed = 0
+    digest = hashlib.sha256()
     for _ in range(2000):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))
         for v in range(n):
             res = robust_stable_set(g, v)
+            digest.update(encode(res))
             if isinstance(res, NiceStableSetCert):
                 nice_n += 1
                 if res.order[0] != v or nice_check(g, res.order) is not None:
@@ -171,6 +190,7 @@ def test_stable_set_for_every_vertex():
                 obstructed += 1
                 if not verify_obstruction(g, res):
                     bad += 1
+    assert digest.hexdigest() == STABLE_SET_SWEEP_SHA256
     report(
         "every vertex of 2000 random graphs: nice stable set or obstruction",
         bad == 0,

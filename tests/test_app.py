@@ -265,7 +265,7 @@ def test_cli_error_paths(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["path", "stdin"])
 @pytest.mark.parametrize("offset", [30, 120_000])
 def test_cli_graph_not_utf8(tmp_path, capsys, monkeypatch, where, offset):
-    """A bad byte in the first 64 KiB block or past it: exit 2, one line, no block position."""
+    """A bad byte in the first block or past it: exit 2, one line, no block position."""
     text = to_dimacs(generate(GenSpec(family="cycle", n=20_000))).encode()
     cut = text.index(b"\n", offset) + 1
     data = text[:cut] + b"c \xff\n" + text[cut:]
@@ -403,6 +403,21 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert type(exc).__name__ in err and "Traceback" not in err
+
+
+def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypatch):
+    """Running out of memory while the graph is read means the input is too large."""
+    def huge(fh, fmt, keep=None):
+        raise MemoryError
+
+    monkeypatch.setattr("meyniel.app.parse_stream", huge)
+    path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
+    for args in (["solve", path], ["verify", path, str(cert)], ["oracle", path, "--what", "omega"]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err == "error: graph input is too large: out of memory while reading it\n"
 
 
 def test_import_leaves_numpy_unloaded():

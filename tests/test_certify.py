@@ -13,6 +13,7 @@ from meyniel.certify import (
     Verdict,
     decode,
     encode,
+    load,
     verify_clique,
     verify_coloring,
     verify_obstruction,
@@ -216,6 +217,7 @@ def test_round_trip_all_kinds():
     # decode -> encode is byte identical
     for graph, cert in [(g, ob), (h, opt), (hh, nice)]:
         blob = encode(cert)
+        assert load(blob) == cert
         assert_verify_matches_decode(graph, blob)
         back = decode(graph, blob)
         assert type(back) is type(cert)
@@ -297,8 +299,11 @@ class TestDecodeRejects:
     g5 = cycle_graph(5)
 
     def expect_format(self, data):
-        with pytest.raises(CertificateFormatError):
+        with pytest.raises(CertificateFormatError) as exc:
             decode(self.g5, data)
+        with pytest.raises(CertificateFormatError) as again:
+            load(data)
+        assert str(again.value) == str(exc.value)
         assert_verify_matches_decode(self.g5, data)
 
     def test_not_json(self):
@@ -336,6 +341,7 @@ class TestDecodeRejects:
 
     def test_semantic_failures_are_invalid_not_format(self):
         even = b'{"chord":null,"cycle":[0,1,2,3,4,5],"kind":"obstruction"}'
+        assert load(even) == MeynielObstruction(cycle=(0, 1, 2, 3, 4, 5))  # load checks no graph
         with pytest.raises(CertificateInvalidError, match="even"):
             decode(cycle_graph(6), even)
         assert_verify_matches_decode(cycle_graph(6), even)

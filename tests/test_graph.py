@@ -171,28 +171,34 @@ SLICES = (1, 2, 7, 64, graph._SLICE)
 FAULTS = ("none", "arity", "bad int", "range", "loop", "junk", "header", "twice", "missing", "late", "empty")
 
 
-def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str) -> str:
+def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str, plain: bool = False) -> str:
     """A graph text: well formed, then with `fault` injected.
 
     Well-formed texts carry comments (dimacs), blank lines, duplicate and
-    reversed edges, `+3` and `03` ints, and random spacing with tabs.
+    reversed edges, `+3` and `03` ints, and random spacing with tabs.  A
+    `plain` text has only canonical edge lines after the header (single
+    spaces, no padding, no `+3` or `03`, "\n" ends), so every piece the
+    fault does not touch is taken in bulk, and a canonical fault such as
+    an out-of-range token or a self-loop is met by the bulk checks.
     """
     base = 1 if fmt == "dimacs" else 0
     tag = ["e"] if fmt == "dimacs" else []
+    if plain:
+        newline = "\n"
 
     def num(k):
-        return rng.choice([str(k)] * 3 + [f"+{k}", f"0{k}"])
+        return str(k) if plain else rng.choice([str(k)] * 3 + [f"+{k}", f"0{k}"])
 
     header = ["p", "edge", str(n), num(rng.randint(0, 9))] if fmt == "dimacs" else [str(n)]
     lines = [header]
     for _ in range(rng.randint(0, 60)):
-        kind = rng.choice(["edge"] * 6 + ["blank", "comment"])
+        kind = "edge" if plain else rng.choice(["edge"] * 6 + ["blank", "comment"])
         if kind == "edge" and n >= 2:
             u, v = rng.sample(range(base, n + base), 2)
             lines.append(tag + [num(u), num(v)])
         elif kind == "comment" and fmt == "dimacs":
             lines.append(rng.choice([["c"], ["c", "e", "1", "1"], ["comment"], ["cx", "1"]]))
-        else:
+        elif not plain:
             lines.append([])
     at = rng.randint(1, len(lines))
     if fault == "arity":
@@ -218,8 +224,8 @@ def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str) -
         lines.insert(at, lines.pop(0))
     elif fault == "empty":
         lines = [t for t in lines[1:] if not t or t[0].startswith("c")]
-    space = ["", "", " ", "\t", "  ", " \t "]
-    sep = rng.choice([" ", "\t", "  "])
+    space = [""] if plain else ["", "", " ", "\t", "  ", " \t "]
+    sep = " " if plain else rng.choice([" ", "\t", "  "])
     return "".join(rng.choice(space) + sep.join(t) + rng.choice(space) + newline for t in lines)
 
 
@@ -282,11 +288,12 @@ def _check_against_reference(text: str, fmt: str, keeps=(), slices=SLICES) -> No
     st.integers(0, 50),
     st.sampled_from(("none",) * 3 + FAULTS),
     st.sampled_from(["\n", "\r\n", "\r", "\v", "\x1c", " "]),
+    st.booleans(),
     st.lists(st.sets(st.integers(0, 55), max_size=8), min_size=1, max_size=3),
     st.randoms(use_true_random=True),
 )
-def test_parse_matches_reference(fmt, n, fault, newline, keeps, rng):
-    text = graph_text(rng, fmt, n, fault, newline)
+def test_parse_matches_reference(fmt, n, fault, newline, plain, keeps, rng):
+    text = graph_text(rng, fmt, n, fault, newline, plain)
     _check_against_reference(text, fmt, [set()] + keeps)
 
 
@@ -369,11 +376,11 @@ def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
     tag = "e " if fmt == "dimacs" else ""
     lines = ["p edge 998 400" if fmt == "dimacs" else "998"]
     lines += [f"{tag}{u} {v}" for u, v in (rng.sample(range(100, 998), 2) for _ in range(400))]
-    parse_stream(io.StringIO("\n".join(lines) + "\n"), fmt, keep=set())
+    parse_stream(io.StringIO("\n".join(lines) + "\n"), fmt)
     taken = [k for k, (_, ok) in enumerate(spy) if ok]
     assert len(taken) > 10
     counts = [piece.count("\n") for piece, _ in spy]
-    first = len(lines) - sum(counts)  # lines of the header's piece, read before the keep set applies
+    first = len(lines) - sum(counts)  # lines of the header's piece, which the line loop takes
     k = taken[2]
     at = first + sum(counts[:k + 1])  # the last line of a plain piece
     spy.clear()
@@ -386,9 +393,16 @@ def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
     return "\n".join(lines) + "\n", at, k
 
 
-@pytest.mark.parametrize("fault", BULK_FAULTS)
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
-def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
+def reference_outcome(text: str, fmt: str, keep) -> tuple:
+    """What `keep_outcome` must give, by the reference parser, which has no bulk route."""
+    try:
+        n, edges = reference_parse(text, fmt)
+    except GraphInputError as exc:
+        return type(exc), exc.line, str(exc)
+    return kept_view(build(n, edges), range(n) if keep is None else keep)
+
+
+def check_plain_pieces_in_bulk(monkeypatch, fmt: str, fault: str, keep) -> None:
     """Plain pieces are taken in bulk; the faulty one falls back to the line loop."""
     spy = []
     bulk = graph._plain_edges
@@ -398,11 +412,9 @@ def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
         return spy[-1][1]
 
     monkeypatch.setattr(graph, "_plain_edges", spied)
-    monkeypatch.setattr(graph, "_SLICE", 400)  # keep blocks of 100 characters
+    monkeypatch.setattr(graph, "_SLICE", 100)  # blocks of 100 characters
     text, at, k = plain_pieces_text(fmt, fault, spy)
-    base = 1 if fmt == "dimacs" else 0
-    keep = {v - base for v in (12, 45, 123, 456, 997)} | {5, 700}
-    want = kept_view(parse_outcome(parse, text, fmt), keep)
+    want = reference_outcome(text, fmt, keep)
     assert keep_outcome(text, fmt, keep) == want
     taken = [ok for _, ok in spy]
     k %= len(taken)
@@ -412,6 +424,20 @@ def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
     else:
         assert isinstance(want[0], int)
         assert fault == "newline" or any(taken[k + 1:])
+
+
+@pytest.mark.parametrize("fault", BULK_FAULTS)
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
+    base = 1 if fmt == "dimacs" else 0
+    keep = {v - base for v in (12, 45, 123, 456, 997)} | {5, 700}
+    check_plain_pieces_in_bulk(monkeypatch, fmt, fault, keep)
+
+
+@pytest.mark.parametrize("fault", BULK_FAULTS)
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_full_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
+    check_plain_pieces_in_bulk(monkeypatch, fmt, fault, None)
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():
