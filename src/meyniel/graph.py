@@ -12,10 +12,10 @@ piece's lines exist at once.  `parse` cuts a str into such pieces;
 `parse_stream` reads them from a text file object, so a file's text is
 never held whole.  A piece after the header made only of canonical edge
 lines ("e 12 7", single spaces, no leading zeros) is checked in bulk:
-matched whole by one regex, split once, each new token range-checked
-once.  Any other piece takes the line loop, whose hot branch takes
-edge lines; every other line (header, comment, blank or malformed)
-goes to one cold helper.  Both routes intern endpoint tokens: a token
+split once, each new token range-checked once, self-loops found by
+string equality.  Any other piece takes the line loop, whose hot
+branch takes edge lines; every other line (header, comment, blank or
+malformed) goes to one cold helper.  Both routes intern endpoint tokens: a token
 seen before costs one dict lookup, and every occurrence of it shares
 one int object in the neighbor tuples.  The token dict lives until the
 graph is built; it is largest when every token is distinct, as in a
@@ -37,7 +37,7 @@ import random
 import re
 from bisect import bisect_left
 from collections import deque
-from itertools import compress
+from itertools import chain, compress, filterfalse
 from operator import eq
 from typing import NamedTuple
 
@@ -221,26 +221,6 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-class _Tokens(dict):
-    """Endpoint token -> 0-based vertex, holding only tokens that passed every check.
-
-    `[]` of a canonical token not seen before range-checks and adds it, or raises KeyError.
-    """
-
-    __slots__ = ("base", "n", "digits")
-
-    def __init__(self, base: int, n: int):
-        super().__init__()
-        # a canonical token with more digits than n is out of range, and int() may refuse it
-        self.base, self.n, self.digits = base, n, len(str(n))
-
-    def __missing__(self, t: str) -> int:
-        if len(t) > self.digits or (v := int(t) - self.base) >= self.n:
-            raise KeyError(t)
-        self[t] = v
-        return v
-
-
 def _parse(pieces, fmt: str, keep=None) -> Graph:
     """Both formats in one pass; `keep` as in `parse_stream`.
 
@@ -256,12 +236,10 @@ def _parse(pieces, fmt: str, keep=None) -> Graph:
     n = 0
     adj = None  # per-vertex neighbor lists, created by the header line
     width = -1  # parts in an edge line; no line matches before the header
-    tok = get = None  # the endpoint tokens, created by the header line
-    kept = None  # with keep: the kept vertices in 0..n-1
-    # whole pieces of canonical edge lines (a lone "0" is an edge-list vertex); possessive
-    # quantifiers keep the regex engine from stacking backtracking state per line
-    num = "[1-9][0-9]*+" if dimacs else "(?:0|[1-9][0-9]*+)"
-    plain = re.compile(f"(?:e {num} {num}\n)*+" if dimacs else f"(?:{num} {num}\n)*+")
+    tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
+    get = tok.get
+    kept = None  # with keep: the canonical tokens of the kept vertices
+    plain = _plain_patterns(dimacs)
     ln = 0
     for piece in pieces:
         if adj is not None and _plain_edges(piece, plain, tok, kept, adj, base):
@@ -280,50 +258,70 @@ def _parse(pieces, fmt: str, keep=None) -> Graph:
                 adj[v].append(u)
             elif (count := _other_line(parts, raw, ln, dimacs, adj is not None)) is not None:
                 n = count
-                tok = _Tokens(base, n)
-                get = tok.get
                 if keep is None:
                     adj = [[] for _ in range(n)]
                 else:  # one discarding sink for every vertex that is not kept
                     adj = [deque(maxlen=0)] * n
-                    kept = {v for v in keep if 0 <= v < n}
-                    for v in kept:
+                    ids = [v for v in keep if 0 <= v < n]
+                    for v in ids:
                         adj[v] = []
+                    kept = {str(v + base) for v in ids}
                 width = last + 1
     if adj is None:
         raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
     return _freeze(adj)
 
 
-def _plain_edges(piece: str, plain: re.Pattern, tok: _Tokens, kept: set | None, adj: list, base: int) -> bool:
+def _plain_patterns(dimacs: bool) -> tuple[re.Pattern, re.Pattern]:
+    """The canonical edge line, and a "\n" that neither ends the piece nor starts one.
+
+    Canonical: ASCII digits without a leading zero (a lone "0" is an
+    edge-list vertex), single spaces, and "\n".  A piece is plain when
+    its first line is canonical and the second pattern is not found.  A
+    search keeps the regex engine's memory constant, where a fullmatch
+    of `(?:line)*` would stack state for every line.
+    """
+    num = "[1-9][0-9]*" if dimacs else "(?:0|[1-9][0-9]*)"
+    line = f"e {num} {num}\n" if dimacs else f"{num} {num}\n"
+    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
+
+
+def _plain_edges(piece: str, plain, tok: dict, kept: set | None, adj: list, base: int) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
     On canonical lines the line loop's checks reduce to two: each new
-    token is below n (it cannot be below 0), which `tok` checks, and no
-    line's two endpoints are equal.  `tok` keeps the tokens that pass
-    even when the piece is declined; the line loop then raises the
-    exact error.  With `kept`, a set of vertices, only edges with a kept
+    token is below n (it cannot be below 0), and no line's two tokens
+    are equal.
+    A token that passes is stored in `tok` at once: `tok` only ever
+    holds valid tokens, so it stays right even when the piece is
+    declined, and the line loop then raises the exact error.  With
+    `kept`, the tokens of the kept vertices, only edges with a kept
     endpoint are stored; with None, every edge.  Never raises.
     """
-    if not plain.fullmatch(piece):
+    line, brk = plain
+    if not line.match(piece) or brk.search(piece):
         return False
     parts = piece.split()
-    a, b = parts[base::base + 2], parts[base + 1::base + 2]
-    try:
-        us, vs = list(map(tok.__getitem__, a)), list(map(tok.__getitem__, b))
-    except KeyError:  # a token out of range
-        return False
-    if any(map(eq, us, vs)):
+    width = base + 2
+    a, b = parts[base::width], parts[base + 1::width]
+    n = len(adj)
+    digits = len(str(n))  # a longer canonical token is out of range, and int() may refuse it
+    for t in filterfalse(tok.__contains__, chain(a, b)):
+        if len(t) > digits or (v := int(t) - base) >= n:
+            return False
+        tok[t] = v
+    if any(map(eq, a, b)):
         return False
     if kept is None:
-        for u, v in zip(us, vs):
+        for x, y in zip(a, b):
+            u, v = tok[x], tok[y]
             adj[u].append(v)
             adj[v].append(u)
         return True
-    for u, v in compress(zip(us, vs), map(kept.__contains__, us)):
-        adj[u].append(v)
-    for u, v in compress(zip(us, vs), map(kept.__contains__, vs)):
-        adj[v].append(u)
+    for x, y in compress(zip(a, b), map(kept.__contains__, a)):
+        adj[tok[x]].append(tok[y])
+    for x, y in compress(zip(a, b), map(kept.__contains__, b)):
+        adj[tok[y]].append(tok[x])
     return True
 
 

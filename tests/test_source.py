@@ -1,12 +1,15 @@
 """Source checks: no module in meyniel imports a name that it never reads,
-and the verifiers in `certify` import nothing of the solver."""
+the verifiers in `certify` import nothing of the solver, and the package
+needs no Python newer than the one pyproject.toml declares."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import meyniel
+from meyniel.graph import _plain_patterns
 
 PACKAGE = pathlib.Path(meyniel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -88,3 +91,24 @@ def test_catches_a_solver_import_in_certify(planted):
     tree = module_tree("certify")
     tree.body[:0] = ast.parse(planted).body
     assert imported_modules(tree) & SOLVER_MODULES
+
+
+def lowest_python() -> tuple[int, int]:
+    """The lowest Python that pyproject.toml declares, as (major, minor)."""
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_sources_parse_on_the_lowest_declared_python():
+    for name in MODULES:
+        ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"), feature_version=lowest_python())
+
+
+def test_plain_patterns_compile_on_the_lowest_declared_python():
+    """Possessive quantifiers and atomic groups came to `re` in 3.11; before, they fail to compile."""
+    if lowest_python() >= (3, 11):
+        pytest.skip("the declared Python has the 3.11 regex syntax")
+    for dimacs in (True, False):
+        for pattern in _plain_patterns(dimacs):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
