@@ -37,7 +37,7 @@ from .graph import (
     parse_stream,
     to_dimacs,
 )
-from .lexcolor import ColorTrace, ForcedOrderError, TieBreak, lex_color
+from .lexcolor import ColorTrace, ForcedOrderError, lex_color
 from .niceset import NiceCheckWitness, nice_check
 from .obstruction import InternalInvariantError, extract_obstruction
 
@@ -60,7 +60,6 @@ __all__ = [
     "NiceCheckWitness",
     "NiceStableSetCert",
     "OptimalPair",
-    "TieBreak",
     "Verdict",
     "build",
     "color_via_stable_sets",

@@ -31,7 +31,7 @@ from .clique import CliqueFailure, greedy_clique, greedy_clique_over
 # `parse` has no caller here; it stays bound as `meyniel.app.parse` for the
 # in-process callers in bench/run.py and the span wrapper in bench/tracing.py
 from .graph import FAMILIES, GenSpec, Graph, GraphInputError, dimacs_pieces, generate, parse, parse_stream
-from .lexcolor import TieBreak, lex_color
+from .lexcolor import lex_color
 from .niceset import nice_check
 from .obstruction import (
     BadPath,
@@ -58,9 +58,12 @@ def _verified(g: Graph, cert: Certificate) -> Certificate:
     return cert
 
 
-def robust_solve(g: Graph, tb: TieBreak | None = None) -> OptimalPair | MeynielObstruction:
-    """Color, pair with a clique, or explain the failure.  Always verified."""
-    trace = lex_color(g, tb)
+def robust_solve(g: Graph, first: tuple[int, ...] = ()) -> OptimalPair | MeynielObstruction:
+    """Color, pair with a clique, or explain the failure.  Always verified.
+
+    The vertices of `first` are colored first, as in lex_color.
+    """
+    trace = lex_color(g, first)
     res = greedy_clique(g, trace)
     if isinstance(res, CliqueFailure):
         return _verified(g, extract_obstruction(g, trace, res))
@@ -79,7 +82,7 @@ def _stable_set(g: Graph, v: int) -> NiceStableSetCert | MeynielObstruction:
     color class; that class, in coloring order, either passes the
     niceness check or hands the odd-path machinery its starting point.
     """
-    trace = lex_color(g, TieBreak.anchored(v))
+    trace = lex_color(g, (v,))
     order = trace.class_of(1)
     if order[0] != v:
         raise InternalInvariantError(f"anchor {v} did not land first in its class")
@@ -264,11 +267,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "solve":
-            tb = None
+            first = ()
             if args.order is not None:
-                order = tuple(int(tok) for tok in args.order.split(","))
-                tb = TieBreak.forced(order)
-            cert = robust_solve(g, tb)
+                first = tuple(int(tok) for tok in args.order.split(","))
+                if sorted(first) != list(range(g.n)):
+                    raise ValueError("forced order must be a permutation of all vertices")
+            cert = robust_solve(g, first)
         elif args.command == "stableset":
             cert = robust_stable_set(g, args.vertex)
         else:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, filterfalse
@@ -360,6 +361,8 @@ def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool
         raise GraphParseError(ln, f"bad {what} {line!r}") from None
     if n < 0:
         raise GraphParseError(ln, f"negative vertex count {n}")
+    if n > sys.maxsize:  # no list can have an entry per vertex
+        raise GraphParseError(ln, f"vertex count {n} exceeds {sys.maxsize}")
     return n
 
 

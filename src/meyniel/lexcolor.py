@@ -7,8 +7,8 @@ x receives color c, at which point it freezes to n - i, where i is the
 whose label vector is maximal in reverse lexicographic order (the highest
 color at which two vectors differ decides), gives it the smallest color
 absent from its colored neighborhood, and updates the labels of its
-uncolored neighbors.  Ties go to the lowest index unless a TieBreak says
-otherwise.
+uncolored neighbors.  After the vertices of `first`, ties go to the
+lowest index.
 
 The whole label vector of x is packed into one int key: label_x(c) sits
 in bits (c-1)*w .. c*w-1 with w = n.bit_length().  Every label value is
@@ -52,33 +52,6 @@ class ForcedOrderError(ValueError):
 
 
 @record
-class TieBreak(NamedTuple):
-    """How to choose among lex-maximal vertices at each step.
-
-    ``ascending`` picks the lowest index; ``forced`` follows a caller
-    permutation and fails if it ever names a non-maximal vertex;
-    ``anchored`` picks the given vertex first (always legal, since all
-    labels are zero at step 1) and falls back to ascending afterwards.
-    """
-
-    mode: str
-    order: tuple[int, ...] | None = None
-    anchor: int | None = None
-
-    @staticmethod
-    def ascending() -> "TieBreak":
-        return TieBreak("ascending")
-
-    @staticmethod
-    def forced(order) -> "TieBreak":
-        return TieBreak("forced", order=tuple(order))
-
-    @staticmethod
-    def anchored(vertex: int) -> "TieBreak":
-        return TieBreak("anchored", anchor=vertex)
-
-
-@record
 class ColorTrace(NamedTuple):
     """Full record of one coloring run.
 
@@ -101,17 +74,21 @@ class ColorTrace(NamedTuple):
         return self.classes[color - 1]
 
 
-def lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
+def lex_color(g: Graph, first: tuple[int, ...] = ()) -> ColorTrace:
     """Color g greedily under the label order; returns the full trace.
 
-    Raises ForcedOrderError if a forced tie-break order is not a legal
-    sequence of lex-maximal choices, and ValueError for a malformed
-    TieBreak (bad mode, non-permutation order, anchor out of range).
+    The vertices of `first` are colored first, in the order given.
+    Raises ForcedOrderError if one of them is not lex-maximal at its
+    step (at step 1 every vertex is), and ValueError unless `first`
+    lists distinct vertices of g.
     """
-    if tb is None:
-        tb = TieBreak.ascending()
-    _check_tiebreak(g, tb)
     n = g.n
+    if len(set(first)) != len(first):
+        raise ValueError("first repeats a vertex")
+    for v in first:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+    forced = len(first)
     w = n.bit_length()
     key = [0] * n
     used = [0] * n  # bit c-1 set iff a colored neighbor has color c
@@ -124,12 +101,10 @@ def lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
         while -nk != key[top]:
             heappop(heap)
             nk, top = heap[0]
-        if tb.mode == "forced":
-            x = tb.order[i - 1]
+        if i <= forced:
+            x = first[i - 1]
             if key[x] < -nk:
                 raise ForcedOrderError(i, x, top)
-        elif tb.mode == "anchored" and i == 1:
-            x = tb.anchor
         else:
             x = top
         mask = used[x]
@@ -154,20 +129,6 @@ def lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
             heap = [(-k, v) for v, k in enumerate(key) if k >= 0]
             heapify(heap)
     return _make_trace(order, color_of, step_of)
-
-
-def _check_tiebreak(g: Graph, tb: TieBreak) -> None:
-    if tb.mode == "ascending":
-        return
-    if tb.mode == "forced":
-        if tb.order is None or sorted(tb.order) != list(range(g.n)):
-            raise ValueError("forced order must be a permutation of all vertices")
-        return
-    if tb.mode == "anchored":
-        if tb.anchor is None or not 0 <= tb.anchor < g.n:
-            raise ValueError(f"anchor vertex {tb.anchor} out of range")
-        return
-    raise ValueError(f"unknown tie-break mode {tb.mode!r}")
 
 
 def _make_trace(order: list[int], color_of: list[int], step_of: list[int]) -> ColorTrace:

@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import random
+import sys
 import tempfile
 from bisect import insort
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,7 @@ from meyniel import graph
 from meyniel.app import _summary, main
 from meyniel.certify import CertificateFormatError, CertificateInvalidError, decode
 from meyniel.graph import Graph, GraphInputError, GraphParseError, build, to_dimacs
-from meyniel.lexcolor import ColorTrace, ForcedOrderError, TieBreak
+from meyniel.lexcolor import ColorTrace, ForcedOrderError
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
 from meyniel.oracle import _guard, _neighbor_mask
 
@@ -46,16 +47,19 @@ def all_graphs(n: int):
         yield build(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
-def naive_lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
+def naive_lex_color(g: Graph, first=()) -> ColorTrace:
     """Reference coloring: rescan every uncolored vertex at every step.
 
-    Labels are sparse (color, value) lists sorted by descending color;
-    all stored values are nonzero, so plain list order is the reverse
-    lexicographic order of the dense vectors.  Quadratic in n, and kept
-    here only as the trace every test of `lex_color` compares against.
+    The vertices of `first` go first, each checked against the best
+    rescanned vertex.  Labels are sparse (color, value) lists sorted by
+    descending color; all stored values are nonzero, so plain list order
+    is the reverse lexicographic order of the dense vectors.  Quadratic
+    in n, and kept here only as the trace every test of `lex_color`
+    compares against.
     """
-    tb = tb or TieBreak.ascending()
     n = g.n
+    if len(set(first)) != len(first) or not all(0 <= v < n for v in first):
+        raise ValueError("first must list distinct vertices of the graph")
     labs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     color_of = [0] * n
     step_of = [0] * n
@@ -65,12 +69,10 @@ def naive_lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
         for v in range(n):
             if color_of[v] == 0 and (best < 0 or labs[v] > labs[best]):
                 best = v
-        if tb.mode == "forced":
-            x = tb.order[i - 1]
+        if i <= len(first):
+            x = first[i - 1]
             if labs[x] < labs[best]:
                 raise ForcedOrderError(i, x, best)
-        elif tb.mode == "anchored" and i == 1:
-            x = tb.anchor
         else:
             x = best
         taken = {color_of[y] for y in g.neighbors(x)}
@@ -94,6 +96,28 @@ def naive_lex_color(g: Graph, tb: TieBreak | None = None) -> ColorTrace:
         classes=classes,
         num_colors=num_colors,
     )
+
+
+def random_legal_order(g: Graph, rng: random.Random) -> list[int]:
+    """A coloring order that picks a random lex-maximal vertex at each step."""
+    n = g.n
+    labels = [[0] * n for _ in range(n)]  # labels[v][c - 1]
+    color = [0] * n
+    order = []
+    for step in range(1, n + 1):
+        rev = {v: labels[v][::-1] for v in range(n) if not color[v]}
+        top = max(rev.values())
+        x = rng.choice([v for v, lab in rev.items() if lab == top])
+        taken = {color[u] for u in g.neighbors(x)}
+        c = 1
+        while c in taken:
+            c += 1
+        color[x] = c
+        order.append(x)
+        for y in g.neighbors(x):
+            if not color[y] and labels[y][c - 1] == 0:
+                labels[y][c - 1] = n - step
+    return order
 
 
 def quadratic_nice_check(g: Graph, order) -> NiceCheckWitness | None:
@@ -265,6 +289,8 @@ def _reference_parse_dimacs(text: str):
                 raise GraphParseError(ln, f"bad problem line {line!r}") from None
             if n < 0:
                 raise GraphParseError(ln, f"negative vertex count {n}")
+            if n > sys.maxsize:
+                raise GraphParseError(ln, f"vertex count {n} exceeds {sys.maxsize}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(ln, "edge before problem line")
@@ -303,6 +329,8 @@ def _reference_parse_edgelist(text: str):
                 raise GraphParseError(ln, f"bad vertex count {line!r}") from None
             if n < 0:
                 raise GraphParseError(ln, f"negative vertex count {n}")
+            if n > sys.maxsize:
+                raise GraphParseError(ln, f"vertex count {n} exceeds {sys.maxsize}")
             continue
         if len(parts) != 2:
             raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")

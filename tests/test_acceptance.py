@@ -3,8 +3,8 @@
 These are the binding end-to-end checks for the package: exhaustive
 small-graph sweeps, randomized sweeps with oracle cross-checks, two
 pinned golden runs, structured-family behavior, per-vertex stable set
-extraction, scaling, equivalence with the naive reference coloring, and
-certificate tampering.
+extraction, scaling, equivalence with the naive reference coloring under
+every legal tie-break, and certificate tampering.
 Run with -rA (or -s) to see the summary lines for passing tests too.
 """
 
@@ -25,11 +25,18 @@ from meyniel.certify import (
 )
 from meyniel.clique import CliqueComplete, CliqueFailure, greedy_clique
 from meyniel.graph import GenSpec, generate
-from meyniel.lexcolor import TieBreak, lex_color
+from meyniel.lexcolor import lex_color
 from meyniel.niceset import nice_check
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
-from conftest import all_graphs, edge_list, is_strong_stable_set, naive_lex_color, random_graph
+from conftest import (
+    all_graphs,
+    edge_list,
+    is_strong_stable_set,
+    naive_lex_color,
+    random_graph,
+    random_legal_order,
+)
 
 
 def report(name, ok, detail=""):
@@ -111,12 +118,12 @@ def test_random_sweep_with_oracle_cross_checks():
 
 def test_golden_run_path_complement():
     g = generate(GenSpec(family="builtin", name="p6bar"))
-    tb = TieBreak.forced((1, 4, 2, 0, 3, 5))
-    trace = lex_color(g, tb)
+    order = (1, 4, 2, 0, 3, 5)
+    trace = lex_color(g, order)
     ok = tuple(trace.color_of) == (3, 1, 1, 2, 2, 4)
     res = greedy_clique(g, trace)
     ok = ok and res == CliqueFailure(color=1, clique=(5, 0, 3))
-    ob = robust_solve(g, tb)
+    ob = robust_solve(g, order)
     ok = ok and isinstance(ob, MeynielObstruction)
     ok = ok and set(ob.cycle) == {0, 1, 2, 3, 4} and ob.chord == (0, 4)
     ok = ok and certified(g, ob)
@@ -129,12 +136,12 @@ def test_golden_run_path_complement():
 
 def test_golden_run_three_triangles():
     g = generate(GenSpec(family="builtin", name="sec5"))
-    tb = TieBreak.forced((3, 1, 5, 6, 2, 8, 7, 0, 4))
-    trace = lex_color(g, tb)
+    order = (3, 1, 5, 6, 2, 8, 7, 0, 4)
+    trace = lex_color(g, order)
     ok = tuple(trace.color_of) == (3, 2, 1, 1, 2, 1, 3, 2, 3)
     res = greedy_clique(g, trace)
     ok = ok and res == CliqueComplete(clique=(0, 4, 3))
-    cert = robust_solve(g, tb)
+    cert = robust_solve(g, order)
     ok = ok and isinstance(cert, OptimalPair) and certified(g, cert)
     # every color class here is maximal but meets no clique transversal
     for cls in ((2, 3, 5), (1, 4, 7), (0, 6, 8)):
@@ -265,11 +272,36 @@ def test_strategies_trace_identically():
     )
 
 
+def test_every_legal_tie_break_gives_a_certificate():
+    """Color first a prefix of a random lex-maximal order, of length 0, 1, k or n.
+
+    The engine traces like the reference, and `robust_solve` returns a
+    certificate that its verifiers accept and the wire format keeps.
+    """
+    rng = random.Random(14)
+    mismatches = broken = obstructed = 0
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        order = random_legal_order(g, rng)
+        for k in sorted({0, 1, rng.randint(0, n), n}):
+            first = tuple(order[:k])
+            mismatches += lex_color(g, first) != naive_lex_color(g, first)
+            cert = robust_solve(g, first)
+            broken += not certified(g, cert)
+            obstructed += isinstance(cert, MeynielObstruction)
+    report(
+        "every legal tie-break leads to a verified certificate",
+        mismatches == broken == 0 and obstructed > 500,
+        f"3000 graphs, {obstructed} obstructions, {mismatches} mismatches, {broken} broken",
+    )
+
+
 def test_corrupted_certificates_are_rejected():
     g = generate(GenSpec(family="builtin", name="p6bar"))
     s = generate(GenSpec(family="builtin", name="sec5"))
-    opt = robust_solve(s, TieBreak.forced((3, 1, 5, 6, 2, 8, 7, 0, 4)))
-    ob = robust_solve(g, TieBreak.forced((1, 4, 2, 0, 3, 5)))
+    opt = robust_solve(s, (3, 1, 5, 6, 2, 8, 7, 0, 4))
+    ob = robust_solve(g, (1, 4, 2, 0, 3, 5))
     checks = []
 
     def expect(label, verdict, want):

@@ -262,6 +262,33 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["solve", "--no-such-flag"])
 
 
+@pytest.mark.parametrize("args", [
+    ["stableset", "--vertex", "-1"],
+    ["stableset", "--vertex", "5"],
+    ["solve", "--order=-1,1,2,3,4"],
+    ["solve", "--order", "0,1,2,3,3"],
+    ["solve", "--order", "0,1,2,3,5"],
+])
+def test_cli_vertex_outside_the_graph_exits_2(tmp_path, capsys, args):
+    path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    code, out, err = run(capsys, args[0], path, *args[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_vertex_count_no_list_can_hold_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.col"
+    path.write_text("p edge 99999999999999999999999 1\n")
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
+    # verify first: without the header check it fails at once, where
+    # solve allocates until the process is killed
+    for args in (["verify", str(path), str(cert)], ["solve", str(path)]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err == f"error: line 1: vertex count 99999999999999999999999 exceeds {sys.maxsize}\n"
+
+
 @pytest.mark.parametrize("where", ["path", "stdin"])
 @pytest.mark.parametrize("offset", [30, 120_000])
 def test_cli_graph_not_utf8(tmp_path, capsys, monkeypatch, where, offset):
@@ -394,7 +421,7 @@ def test_cli_stdin_is_strict_utf8(tmp_path, locale):
 
 @pytest.mark.parametrize("exc", [InternalInvariantError("stuck at color 2"), MemoryError()])
 def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
-    def broken(g, tb=None):
+    def broken(g, first=()):
         raise exc
 
     monkeypatch.setattr("meyniel.app.robust_solve", broken)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import random
+import sys
 import time
 import tracemalloc
 
@@ -92,6 +93,22 @@ def test_parse_dimacs_errors_carry_line_numbers():
         parse("c no problem line\n")
     with pytest.raises(GraphParseError):
         parse("p edge 2 1\ne 1 1\n")
+
+
+@pytest.mark.parametrize("count", [sys.maxsize + 1, 99999999999999999999999])
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_vertex_count_no_list_can_hold_is_a_parse_error(fmt, count):
+    header = f"p edge {count} 1" if fmt == "dimacs" else str(count)
+    text = f"\n{header}\n" + ("e 1 2\n" if fmt == "dimacs" else "0 1\n")
+    # the keep read first: without the check it fails at once, where a
+    # full read allocates until the process is killed
+    for read in (lambda: parse_stream(io.StringIO(text), fmt, keep={0}),
+                 lambda: parse_stream(io.StringIO(text), fmt),
+                 lambda: parse(text, fmt)):
+        with pytest.raises(GraphParseError) as exc:
+            read()
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: vertex count {count} exceeds {sys.maxsize}"
 
 
 def test_parse_edgelist():

@@ -13,11 +13,10 @@ from meyniel.graph import build, generate, GenSpec
 from meyniel.lexcolor import (
     ColorTrace,
     ForcedOrderError,
-    TieBreak,
     lex_color,
 )
 
-from conftest import graphs, naive_lex_color, random_graph
+from conftest import graphs, naive_lex_color, random_graph, random_legal_order
 
 
 def _revlex_dense(a, b):
@@ -75,30 +74,7 @@ def test_strategies_agree(g):
     """The engine traces exactly like the naive reference, ascending and anchored."""
     assert lex_color(g) == naive_lex_color(g)
     for v in range(g.n):
-        tb = TieBreak.anchored(v)
-        assert lex_color(g, tb) == naive_lex_color(g, tb)
-
-
-def random_legal_order(g, rng):
-    """A coloring order that picks a random lex-maximal vertex at each step."""
-    n = g.n
-    labels = [[0] * n for _ in range(n)]  # labels[v][c - 1]
-    color = [0] * n
-    order = []
-    for step in range(1, n + 1):
-        rev = {v: labels[v][::-1] for v in range(n) if not color[v]}
-        top = max(rev.values())
-        x = rng.choice([v for v, lab in rev.items() if lab == top])
-        taken = {color[u] for u in g.neighbors(x)}
-        c = 1
-        while c in taken:
-            c += 1
-        color[x] = c
-        order.append(x)
-        for y in g.neighbors(x):
-            if not color[y] and labels[y][c - 1] == 0:
-                labels[y][c - 1] = n - step
-    return order
+        assert lex_color(g, (v,)) == naive_lex_color(g, (v,))
 
 
 def test_random_lex_maximal_orders_are_accepted():
@@ -106,16 +82,15 @@ def test_random_lex_maximal_orders_are_accepted():
     for _ in range(400):
         g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         order = random_legal_order(g, rng)
-        tb = TieBreak.forced(order)
-        trace = lex_color(g, tb)
+        trace = lex_color(g, order)
         assert list(trace.order) == order
         replay_and_check(g, trace, any_tie=True)
-        assert trace == naive_lex_color(g, tb)
+        assert trace == naive_lex_color(g, order)
 
 
-def _outcome(color, g, tb):
+def _outcome(color, g, order):
     try:
-        return color(g, tb)
+        return color(g, order)
     except ForcedOrderError as exc:
         return (exc.step, exc.vertex, exc.competitor)
 
@@ -133,39 +108,44 @@ def test_illegal_forced_orders_fail_like_reference():
             order = random_legal_order(g, rng)
             i, j = rng.sample(range(g.n), 2)
             order[i], order[j] = order[j], order[i]
-        tb = TieBreak.forced(order)
-        got = _outcome(lex_color, g, tb)
-        assert got == _outcome(naive_lex_color, g, tb)
+        got = _outcome(lex_color, g, order)
+        assert got == _outcome(naive_lex_color, g, order)
         failures += type(got) is tuple  # ColorTrace is a tuple subclass
     assert failures > 300
 
 
 def test_forced_order_runs_and_errors():
     g = generate(GenSpec(family="builtin", name="p6bar"))
-    trace = lex_color(g, TieBreak.forced((1, 4, 2, 0, 3, 5)))
+    trace = lex_color(g, (1, 4, 2, 0, 3, 5))
     assert trace.order == (1, 4, 2, 0, 3, 5)
     replay_and_check(g, trace, check_choice=False)
     # u is a non-neighbor of v, so its label is still empty at step 2
     with pytest.raises(ForcedOrderError) as exc:
-        lex_color(g, TieBreak.forced((1, 0, 2, 3, 4, 5)))
+        lex_color(g, (1, 0, 2, 3, 4, 5))
     assert exc.value.step == 2
     assert exc.value.vertex == 0
     assert exc.value.competitor == 3
 
 
 def test_forced_order_must_be_permutation():
+    """`first` lists distinct vertices of g; a legal proper prefix is enough."""
     g = build(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        lex_color(g, TieBreak.forced((0, 1)))
-    with pytest.raises(ValueError):
-        lex_color(g, TieBreak.forced((0, 1, 1)))
+    for bad in ((0, 1, 1), (0, 3), (-1,), (2, -3)):
+        with pytest.raises(ValueError):
+            lex_color(g, bad)
+        with pytest.raises(ValueError):
+            naive_lex_color(g, bad)
+    for prefix in ((0, 1), (2,), (1, 0)):
+        trace = lex_color(g, prefix)
+        assert trace.order[:len(prefix)] == prefix
+        assert trace == naive_lex_color(g, prefix)
 
 
 @given(graphs(min_n=1, max_n=10), st.integers(0, 9))
 def test_anchored_starts_at_anchor(g, v):
     if v >= g.n:
         return
-    trace = lex_color(g, TieBreak.anchored(v))
+    trace = lex_color(g, (v,))
     assert trace.order[0] == v
     assert trace.color_of[v] == 1
     replay_and_check(g, trace, check_choice=False)
@@ -173,8 +153,9 @@ def test_anchored_starts_at_anchor(g, v):
 
 def test_anchor_out_of_range():
     g = build(2, [])
-    with pytest.raises(ValueError):
-        lex_color(g, TieBreak.anchored(2))
+    for v in (2, -1):
+        with pytest.raises(ValueError):
+            lex_color(g, (v,))
 
 
 def test_trace_class_of():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.graph import build
-from meyniel.lexcolor import TieBreak, lex_color
+from meyniel.lexcolor import lex_color
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError, nice_check
 
 from conftest import edge_list, graphs, is_strong_stable_set, quadratic_nice_check, random_graph
@@ -76,7 +76,7 @@ def test_matches_quadratic_reference():
     for _ in range(1500):
         n = rng.randint(1, 40)
         g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3, 0.5, 0.8]))
-        orders = [lex_color(g, TieBreak.anchored(rng.randrange(n))).class_of(1),
+        orders = [lex_color(g, (rng.randrange(n),)).class_of(1),
                   random_ordered_mss(rng, g)]
         # not stable, not maximal, repeated or out of range
         broken = random_ordered_mss(rng, g) + [rng.randrange(n + 1), rng.randrange(n)]

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 from meyniel.certify import verify_obstruction
 from meyniel.clique import CliqueFailure, greedy_clique
 from meyniel.graph import build
-from meyniel.lexcolor import ColorTrace, TieBreak, lex_color
+from meyniel.lexcolor import ColorTrace, lex_color
 from meyniel.obstruction import (
     BadPath,
     NearObstruction,
@@ -494,7 +494,7 @@ def test_golden_forced_run():
     from meyniel.graph import generate, GenSpec
 
     g = generate(GenSpec(family="builtin", name="p6bar"))
-    trace = lex_color(g, TieBreak.forced((1, 4, 2, 0, 3, 5)))
+    trace = lex_color(g, (1, 4, 2, 0, 3, 5))
     res = greedy_clique(g, trace)
     assert res == CliqueFailure(color=1, clique=(5, 0, 3))
     ob = staged_extract(g, trace, res)

@@ -5,7 +5,7 @@ import pytest
 from meyniel.certify import MeynielObstruction, NiceStableSetCert, OptimalPair, Verdict
 from meyniel.clique import CliqueComplete, CliqueFailure
 from meyniel.graph import GenSpec, build
-from meyniel.lexcolor import TieBreak, lex_color
+from meyniel.lexcolor import lex_color
 from meyniel.niceset import NiceCheckWitness
 from meyniel.obstruction import BadPath, ContractionView, NearObstruction
 
@@ -17,7 +17,6 @@ RECORDS = [
     CliqueComplete(clique=(1, 0)),
     CliqueFailure(color=2, clique=(3,)),
     GenSpec(family="cycle", n=5),
-    TieBreak.anchored(1),
     lex_color(build(3, [(0, 1)])),
     NiceCheckWitness(index=2, a=0, b=1),
     ContractionView(color=1, class_verts=(0, 2), first_idx=(0, 1, 0)),

@@ -1,15 +1,17 @@
 """Source checks: no module in meyniel imports a name that it never reads,
-the verifiers in `certify` import nothing of the solver, and the package
-needs no Python newer than the one pyproject.toml declares."""
+every name the bench wraps exists, the verifiers in `certify` import
+nothing of the solver, and the package needs no Python newer than the one
+pyproject.toml declares."""
 
 import ast
+import importlib
 import pathlib
 import re
 
 import pytest
 
 import meyniel
-from meyniel.graph import _plain_patterns
+from meyniel.graph import Graph, _plain_patterns
 
 PACKAGE = pathlib.Path(meyniel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -37,6 +39,23 @@ def module_tree(name: str) -> ast.Module:
 def test_no_unused_imports():
     found = {(name, imp) for name in MODULES for imp in unused_imports(module_tree(name))}
     assert found == KEPT_FOR_BENCH
+
+
+def bench_bindings() -> set[tuple[str, str]]:
+    """The (module, attribute) pairs in bench/tracing.py's `_SOLVER_BINDINGS`, read from its source."""
+    path = PACKAGE.parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_SOLVER_BINDINGS"])
+    return {(mod, attr) for mod, attr, _ in ast.literal_eval(value)}
+
+
+def test_every_name_the_bench_wraps_exists():
+    bindings = bench_bindings()
+    for mod, attr in bindings:
+        assert hasattr(importlib.import_module(f"meyniel.{mod}"), attr), (mod, attr)
+    assert hasattr(Graph, "subgraph")
+    assert KEPT_FOR_BENCH <= bindings
 
 
 @pytest.mark.parametrize("name, module", [
