@@ -30,7 +30,17 @@ from .certify import (
 from .clique import CliqueFailure, greedy_clique, greedy_clique_over
 # `parse` has no caller here; it stays bound as `meyniel.app.parse` for the
 # in-process callers in bench/run.py and the span wrapper in bench/tracing.py
-from .graph import FAMILIES, GenSpec, Graph, GraphInputError, dimacs_pieces, generate, parse, parse_stream
+from .graph import (
+    FAMILIES,
+    GenSpec,
+    Graph,
+    GraphInputError,
+    dimacs_pieces,
+    generate,
+    parse,
+    parse_split,
+    parse_stream,
+)
 from .lexcolor import lex_color
 from .niceset import nice_check
 from .obstruction import (
@@ -136,7 +146,12 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
 
 
 def _read_graph(path: str, fmt: str, keep=None) -> Graph:
-    """The graph in `path` ('-' for stdin), read as strict UTF-8; `keep` as in parse_stream."""
+    """The graph in `path` ('-' for stdin), read as strict UTF-8; `keep` as in parse_stream.
+
+    A large file is parsed on two cores by `parse_split`; whenever that
+    declines or fails, the serial `parse_stream` reads the file and
+    raises the input's error.
+    """
     try:
         if path == "-":
             # stdin's own decoding follows the locale and may escape bad
@@ -147,7 +162,8 @@ def _read_graph(path: str, fmt: str, keep=None) -> Graph:
             finally:
                 fh.detach()
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_stream(fh, fmt, keep)
+            g = parse_split(fh, fmt, keep)
+            return parse_stream(fh, fmt, keep) if g is None else g
     except UnicodeDecodeError as exc:  # its position counts from the block, not the file
         raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
     except MemoryError:  # the input, not the program, is at fault

@@ -27,18 +27,34 @@ answers only questions about kept vertices, and its `m` counts only the
 stored edges; `meyniel verify` reads an obstruction's graph this way,
 keeping the cycle.  The pieces, their checks and errors are the same.
 
+`parse_split` reads a large regular file on two cores.  When line 1 is
+the header, it cuts the file just after the first "\n" at or past its
+middle byte and forks one child.  The parent runs the parse loop over
+the first half, and the child over the header line followed by the
+second half.  The child sends the neighbor lists it stored back through
+a pipe, and the parent adds them to its own before building the graph.
+A cut after "\n" is a line boundary, and no UTF-8 sequence contains a
+"\n" byte, so each line lands whole in one half.  Should anything fail,
+`parse_split` returns None, and the caller's serial `parse_stream`
+reports the error as it would have anyway.
+
 `dimacs_pieces` serializes a graph the other way, one vertex's edge
 lines at a time, so writing a graph holds no edge list and no whole text.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import stat
 import sys
+from array import array
 from bisect import bisect_left
+from codecs import getincrementaldecoder
 from collections import deque
-from itertools import chain, compress, filterfalse
+from functools import partial
+from itertools import chain, compress, filterfalse, islice
 from operator import eq
 from typing import NamedTuple
 
@@ -152,7 +168,7 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     "c ..." lines are comments.  edgelist: first non-blank line is "<n>",
     then "<u> <v>" lines (0-based); blank lines are ignored.
     """
-    return _parse(_text_pieces(text), fmt)
+    return _freeze(_parse(_text_pieces(text), fmt))
 
 
 def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
@@ -171,7 +187,7 @@ def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
     and the route each takes do not depend on `keep`, so the errors are
     the same as without it.  Kept vertices outside 0..n-1 are ignored.
     """
-    return _parse(_file_pieces(fh), fmt, keep)
+    return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), fmt, keep))
 
 
 # The parse loop takes the text in pieces that end just after a "\n",
@@ -191,12 +207,12 @@ def _text_pieces(text: str):
         start = cut
 
 
-def _file_pieces(fh):
-    # Each block is cut after its last "\n" and the tail carried on.  A
-    # block without "\n" is only held, and the held blocks are joined
+def _cut(blocks):
+    # Each text block is cut after its last "\n" and the tail carried on.
+    # A block without "\n" is only held, and the held blocks are joined
     # once, so one huge line costs linear time, not quadratic.
     held: list[str] = []
-    while block := fh.read(_SLICE):
+    for block in blocks:
         cut = block.rfind("\n") + 1
         if cut:
             held.append(block[:cut])
@@ -205,6 +221,172 @@ def _file_pieces(fh):
         else:
             held.append(block)
     yield "".join(held)
+
+
+# A regular file of at least _SPLIT bytes is parsed on two cores when it
+# can be (see `parse_split`).  Below it the fork and the transfer cost
+# more than the second core saves: at 1 MiB a full read of a dense graph
+# gains and one of a sparse graph breaks even (measured in the README).
+_SPLIT = 1 << 20
+
+# The child sends its lists in writes of this many array("I") values (64 KiB)
+_SEND = 1 << 14
+
+
+def parse_split(fh, fmt: str = "dimacs", keep=None) -> Graph | None:
+    """`parse_stream(fh, fmt, keep)` of a large file, parsed by two processes; or None.
+
+    `fh` is a text file that `open(path, encoding="utf-8")` returned and
+    nothing has read yet.  The read is split only if `fh` is a regular
+    file of at least `_SPLIT` bytes, `os.fork` exists, two CPUs are
+    usable, line 1 is a header that ends within the first `_SLICE`
+    bytes and declares no more vertices than the file has bytes, and a
+    "\n" lies past the middle byte.  The parent then parses up to just
+    after the first "\n" at or past the middle byte, and one forked
+    child parses the header line followed by the rest.
+
+    Returns None in every other case, and whenever either half raises,
+    the child dies or its records end short: the caller then reads `fh`
+    with `parse_stream`, which reports any error of the input.  Both
+    halves read by position, so `fh` is still at its start.  The child is
+    reaped before this returns, and killed first unless it exited on its
+    own; a KeyboardInterrupt still propagates.  It forks, so it is meant
+    for a process that runs no other thread, as the CLI does.
+    """
+    try:
+        fd = fh.fileno()
+        info = os.fstat(fd)
+        if not (stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT
+                and hasattr(os, "fork") and _cpus() > 1):
+            return None
+        head = _header(fd, fmt, info.st_size)
+        mid = head and _middle(fd, info.st_size)
+        return _parse_halves(fd, head, mid, fmt, keep) if mid else None
+    except Exception:  # reported, if it is the input's, by the serial read
+        return None
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _header(fd: int, fmt: str, size: int) -> str | None:
+    """The text up to the first "\n" if line 1 is a header of at most `size` vertices.
+
+    Raises if line 1 is malformed.  Any further line before that "\n"
+    (after a "\r", say) is parsed by both halves, and its edges are
+    stored twice, which `_freeze` collapses.  A file with more vertices
+    than bytes holds mostly isolated vertices, whose lists the child
+    would only allocate a second time.
+    """
+    block = os.pread(fd, _SLICE, 0)
+    head = block[:block.find(b"\n") + 1].decode("utf-8")
+    line = head.splitlines()[0] if head else ""
+    n = _other_line(line.split(), line, 1, fmt == "dimacs", False)
+    return head if n is not None and n <= size else None
+
+
+def _middle(fd: int, size: int) -> int:
+    """The byte after the first "\n" at or past size // 2; 0 if none precedes the last byte."""
+    pos = size // 2
+    while block := os.pread(fd, _SLICE, pos):
+        cut = block.find(b"\n")
+        if cut >= 0:
+            return pos + cut + 1 if pos + cut + 1 < size else 0
+        pos += len(block)
+    return 0
+
+
+def _decoded(fd: int, start: int, end: int | None = None):
+    """Bytes start..end of the file (to EOF if end is None) as strict UTF-8 text blocks.
+
+    Reads by position: the file offset, which a forked child shares with
+    its parent, never moves.
+    """
+    decode = getincrementaldecoder("utf-8")().decode
+    while start != end and (block := os.pread(fd, _SLICE if end is None else min(_SLICE, end - start), start)):
+        start += len(block)
+        yield decode(block)
+    yield decode(b"", True)
+
+
+def _parse_halves(fd: int, head: str, mid: int, fmt: str, keep) -> Graph | None:
+    """The graph, the parent parsing bytes 0..mid and a forked child the rest; None if the child fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _child(r, w, fd, head, mid, fmt, keep)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as stream:
+            adj = _parse(_cut(_decoded(fd, 0, mid)), fmt, keep)
+            whole = _receive(stream, adj)
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # the parent failed or was interrupted: the child's work is moot
+            from signal import SIGKILL  # only this path needs the module
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return _freeze(adj) if whole and status == 0 else None
+
+
+def _child(r: int, w: int, fd: int, head: str, mid: int, fmt: str, keep) -> None:
+    """The forked child's whole life: parse from `mid` after `head`, send the lists, exit.
+
+    It leaves only through `os._exit`, whatever is raised (a broken pipe
+    included), so it runs no atexit handler and flushes none of the
+    caller's stdio; its status is 0 only once every record is sent.
+    """
+    code = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            _send(out, _parse(chain([head], _cut(_decoded(fd, mid))), fmt, keep))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _send(out, adj: list) -> None:
+    """Write (v, len, neighbors...) for each vertex with a nonempty list, then the end record (n, 0)."""
+    buf = array("I")
+    for v, a in enumerate(adj):
+        if a:
+            buf.append(v)
+            buf.append(len(a))
+            buf.extend(a)
+            if len(buf) >= _SEND:
+                out.write(buf)
+                del buf[:]
+    buf.extend((len(adj), 0))
+    out.write(buf)
+
+
+def _receive(stream, adj: list) -> bool:
+    """Extend `adj` by the records `_send` wrote; True if they ended with the end record.
+
+    Every neighbor value is mapped through one list of n ints, so equal
+    values share one int object, as the parent's own lists do by the
+    token dict, which is freed by now.
+    """
+    n = len(adj)
+    ids = list(range(n))
+    vals = chain.from_iterable(iter(lambda: array("I", stream.read(_SEND * 4)), array("I")))
+    for v in vals:
+        k = next(vals)
+        if v == n:
+            return k == 0 and next(vals, None) is None
+        adj[v].extend(map(ids.__getitem__, islice(vals, k)))
+    return False
 
 
 def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) -> tuple[int, int]:
@@ -222,11 +404,12 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse(pieces, fmt: str, keep=None) -> Graph:
+def _parse(pieces, fmt: str, keep=None) -> list:
     """Both formats in one pass; `keep` as in `parse_stream`.
 
-    After the header each piece goes to `_plain_edges`, and one it
-    declines to the line loop.
+    Returns the per-vertex neighbor lists, for `_freeze`.  After the
+    header each piece goes to `_plain_edges`, and one it declines to the
+    line loop.
     """
     if fmt not in ("dimacs", "edgelist"):
         raise GraphInputError(f"unknown format {fmt!r}")
@@ -270,7 +453,7 @@ def _parse(pieces, fmt: str, keep=None) -> Graph:
                 width = last + 1
     if adj is None:
         raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
-    return _freeze(adj)
+    return adj
 
 
 def _plain_patterns(dimacs: bool) -> tuple[re.Pattern, re.Pattern]:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import os
@@ -8,6 +9,7 @@ from bisect import insort
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
+import pytest
 
 from meyniel import graph
 from meyniel.app import _summary, main
@@ -16,6 +18,46 @@ from meyniel.graph import Graph, GraphInputError, GraphParseError, build, to_dim
 from meyniel.lexcolor import ColorTrace, ForcedOrderError
 from meyniel.niceset import NiceCheckWitness, NotMaximalError, NotStableSetError
 from meyniel.oracle import _guard, _neighbor_mask
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_reads(on: bool = True):
+    """Make `graph.parse_split` split every file it can (on), or none (off).
+
+    On, the size threshold is 0 and two CPUs count as usable, whatever
+    the host has, so the child is forked on any host with `os.fork`.
+    """
+    saved = graph._SPLIT, graph._cpus
+    graph._SPLIT, graph._cpus = (0, lambda: 2) if on else (sys.maxsize, saved[1])
+    try:
+        yield
+    finally:
+        graph._SPLIT, graph._cpus = saved
+
+
+@contextlib.contextmanager
+def counted_forks():
+    """Record the pid of each process that calls `os.fork` in this block."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    os.fork = counted
+    try:
+        yield forks
+    finally:
+        os.fork = fork
 
 
 @st.composite

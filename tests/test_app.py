@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+from meyniel import graph
 from meyniel.app import color_via_stable_sets, main, robust_solve, robust_stable_set
 from meyniel.certify import (
     CertificateInvalidError,
@@ -26,9 +27,11 @@ from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 from conftest import (
     assert_verify_matches_decode,
     cli_verify,
+    counted_forks,
     graphs,
     is_strong_stable_set,
     naive_lex_color,
+    split_reads,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -433,7 +436,11 @@ def test_cli_internal_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypatch):
-    """Running out of memory while the graph is read means the input is too large."""
+    """Running out of memory while the graph is read means the input is too large.
+
+    Also when the read is split and one half runs out first: the serial
+    read that follows runs out too, and reports it.
+    """
     def huge(fh, fmt, keep=None):
         raise MemoryError
 
@@ -441,14 +448,50 @@ def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypat
     path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
     cert = tmp_path / "cert.json"
     cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
-    for args in (["solve", path], ["verify", path, str(cert)], ["oracle", path, "--what", "omega"]):
-        code, out, err = run(capsys, *args)
-        assert (code, out) == (2, ""), args
-        assert err == "error: graph input is too large: out of memory while reading it\n"
+    parent, parse_lists = os.getpid(), graph._parse
+    for half in (None, "parent", "child"):
+        def out_of_memory_in_half(pieces, fmt, keep=None):
+            if (os.getpid() == parent) == (half == "parent"):
+                raise MemoryError
+            return parse_lists(pieces, fmt, keep)
+
+        monkeypatch.setattr(graph, "_parse", parse_lists if half is None else out_of_memory_in_half)
+        for args in (["solve", path], ["verify", path, str(cert)], ["oracle", path, "--what", "omega"]):
+            with split_reads(half is not None), counted_forks() as forks:
+                code, out, err = run(capsys, *args)
+            assert (code, out, len(forks)) == (2, "", half is not None), (half, args)
+            assert err == "error: graph input is too large: out of memory while reading it\n"
+
+
+def test_split_read_gives_the_serial_outputs(tmp_path, capsys):
+    """Every command prints and exits the same whether its graph file is split or not."""
+    g = generate(GenSpec(family="gnp", n=60, p=0.5, seed=4))
+    path = write_graph(tmp_path, g)
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(encode(robust_solve(g)))
+    commands = (["solve", path], ["verify", path, str(cert)], ["stableset", path, "--vertex", "7"],
+                ["colorbystable", path], ["oracle", path, "--what", "omega"])
+    for args in commands:
+        outcomes = []
+        for split in (False, True):
+            with split_reads(split), counted_forks() as forks:
+                outcomes.append(run(capsys, *args))
+            assert len(forks) == split, args
+        assert outcomes[0] == outcomes[1], args
 
 
 def test_import_leaves_numpy_unloaded():
     code = "import sys, meyniel.app; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_import_leaves_process_pools_unloaded():
+    """The split read forks by hand: no CLI process pays for a pool or subprocess module."""
+    code = ("import sys, meyniel.app; "
+            "loaded = {'multiprocessing', 'concurrent.futures', 'subprocess'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
     res = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import signal
 import sys
 import time
 import tracemalloc
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from meyniel import graph
+from meyniel import app, graph
 from meyniel.app import _read_graph, main
 from meyniel.graph import (
     GenSpec,
@@ -23,7 +25,7 @@ from meyniel.graph import (
     to_dimacs,
 )
 
-from conftest import edge_list, graphs, reference_parse
+from conftest import counted_forks, edge_list, graphs, reference_parse, split_reads
 
 
 def test_build_basic():
@@ -317,20 +319,22 @@ def test_parse_matches_reference(fmt, n, fault, newline, plain, keeps, rng):
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
 def test_read_graph_matches_parse_of_whole_file(tmp_path, fmt, newline):
-    """A file streamed by the CLI's reader parses as its whole decoded text does."""
-    rng = random.Random(fmt + newline)
-    path = tmp_path / "g.txt"
-    saved = graph._SLICE
-    try:
-        for k in range(100):
-            fault = FAULTS[k % len(FAULTS)] if k % 2 else "none"
-            path.write_bytes(graph_text(rng, fmt, rng.randint(0, 50), fault, newline).encode())
-            graph._SLICE = SLICES[k % len(SLICES)]
-            with open(path, encoding="utf-8") as fh:
-                want = parse_outcome(parse, fh.read(), fmt)
-            assert parse_outcome(_read_graph, str(path), fmt) == want
-    finally:
-        graph._SLICE = saved
+    """A file streamed by the CLI's reader, split in two or not, parses as its whole decoded text does."""
+    for split in (False, True):
+        rng = random.Random(fmt + newline)
+        path = tmp_path / "g.txt"
+        saved = graph._SLICE
+        try:
+            for k in range(100):
+                fault = FAULTS[k % len(FAULTS)] if k % 2 else "none"
+                path.write_bytes(graph_text(rng, fmt, rng.randint(0, 50), fault, newline).encode())
+                graph._SLICE = SLICES[k % len(SLICES)]
+                with open(path, encoding="utf-8") as fh:
+                    want = parse_outcome(parse, fh.read(), fmt)
+                with split_reads(split):
+                    assert parse_outcome(_read_graph, str(path), fmt) == want, split
+        finally:
+            graph._SLICE = saved
 
 
 def test_read_graph_never_holds_the_file(tmp_path):
@@ -369,6 +373,193 @@ def test_read_graph_with_keep_holds_a_fraction_of_the_graph(tmp_path):
     assert g.m > 200_000
     assert [h.neighbors(v) for v in range(h.n)] == [g.neighbors(v) if v in keep else () for v in range(g.n)]
     assert peak < full / 4, (peak, full)
+
+
+def read_outcome(path, fmt: str, keep=None, split: bool = True) -> tuple:
+    """`_read_graph` with the split forced on or off: n, m and every tuple, or the error's type and message.
+
+    Only the GraphInputError family is caught; anything else fails the test.
+    """
+    with split_reads(split):
+        try:
+            g = _read_graph(str(path), fmt, keep)
+        except GraphInputError as exc:
+            return type(exc), str(exc)
+    return g.n, g.m, tuple(map(g.neighbors, range(g.n)))
+
+
+@contextlib.contextmanager
+def counted_serial_reads():
+    """Record each serial `parse_stream` read that `_read_graph` makes in this block."""
+    reads: list[int] = []
+    saved = app.parse_stream
+
+    def counted(*args):
+        reads.append(1)
+        return saved(*args)
+
+    app.parse_stream = counted
+    try:
+        yield reads
+    finally:
+        app.parse_stream = saved
+
+
+# Lines for the fuzzed files: both formats' tokens, the newlines that
+# `splitlines` knows, and two non-ASCII characters
+FUZZ_TOKENS = ["e", "p", "edge", "c", "0", "1", "2", "5", "6", "7", "-1", "+2", "01", "99",
+               " ", "\t", "\n", "\n", "\n", "\r", "\r\n", "\v", "é", "\x85"]
+FUZZ_HEADS = {"dimacs": ["p edge 6 4\n", "p edge 6 4\r\n", "c x\np edge 6 4\n", "p edge 6\n", ""],
+              "edgelist": ["6\n", "6\r\n", "6 1\n", ""]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["dimacs", "edgelist"]), st.data())
+def test_split_read_matches_serial_read(tmp_path_factory, fmt, data):
+    """Every file, text or not, read with the split forced on, gives what the serial read gives."""
+    head = data.draw(st.sampled_from(FUZZ_HEADS[fmt]) | st.text(max_size=12), "head")
+    body = data.draw(st.one_of(
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=80).map("".join).map(str.encode),
+        st.text(max_size=60).map(str.encode),
+        st.binary(max_size=60),
+    ), "body")
+    keep = data.draw(st.none() | st.sets(st.integers(-1, 8), max_size=4), "keep")
+    size = data.draw(st.sampled_from(SLICES), "slice")
+    path = tmp_path_factory.mktemp("split") / "g.txt"
+    path.write_bytes(head.encode() + body)
+    saved = graph._SLICE
+    graph._SLICE = size
+    try:
+        want = read_outcome(path, fmt, keep, split=False)
+        with counted_forks() as forks, counted_serial_reads() as serial:
+            assert read_outcome(path, fmt, keep) == want
+    finally:
+        graph._SLICE = saved
+    # a valid file that was split needs no serial read
+    assert len(serial) == (not forks or not isinstance(want[0], int))
+
+
+def edge_lines(first: int, count: int) -> bytes:
+    """DIMACS edge lines `first`..`first + count - 1` of 60 distinct edges on vertices 1..40."""
+    return b"".join(b"e %d %d\n" % (1 + k % 20, 21 + (k + k // 20 * 3) % 20)
+                    for k in range(first, first + count))
+
+
+HEAD = b"p edge 40 60\n"
+HALF = edge_lines(0, 30)
+WHOLE = HEAD + HALF + edge_lines(30, 30)  # the cut falls inside the second 30 lines
+SPLIT_CASES = {
+    # name: (file bytes, format, keep, is the read split?); a fault in the
+    # first half comes right after the header, one in the second at the end
+    "plain": (WHOLE, "dimacs", None, True),
+    "plain kept": (WHOLE, "dimacs", {0, 5, 27, 39}, True),
+    "kept out of range": (WHOLE, "dimacs", {-1, 3, 40, 99}, True),
+    "comment before the header": (b"c first\n" + WHOLE, "dimacs", None, False),
+    "more vertices than bytes": (b"p edge 5000 60\n" + WHOLE[len(HEAD):], "dimacs", None, False),
+    "duplicate header in the second half": (WHOLE + HEAD, "dimacs", None, True),
+    "bad UTF-8 in the first half": (HEAD + b"e 1 2\xff\n" + HALF + HALF, "dimacs", None, True),
+    "bad UTF-8 in the second half": (WHOLE + b"e 1 2\xc3\n", "dimacs", None, True),
+    "bad UTF-8 in both halves": (HEAD + b"e \xe2\x82\n" + HALF + HALF + b"c \xff\n", "dimacs", None, True),
+    # a comment would parse in either half: only the decoding can refuse it
+    "bad UTF-8 in a comment in the first half": (HEAD + b"c caf\xe9\n" + HALF + HALF, "dimacs", None, True),
+    "bad UTF-8 in a comment in the second half": (WHOLE + b"c caf\xe9\n", "dimacs", {3}, True),
+    "errors in both halves": (HEAD + b"e 1 41\n" + HALF + HALF + b"e 3 3\n", "dimacs", None, True),
+    "error in the second half": (WHOLE + b"e 3 3\n", "dimacs", {2}, True),
+    "no newline past the middle": (HEAD + b"e 1 2\n" + b"c" * 2000, "dimacs", None, False),
+    # the cut falls after HALF's last line, so the child's half is one line without "\n"
+    "second half with no newline": (HEAD + HALF + b"e 1 40".ljust(len(HEAD + HALF) - 4), "dimacs", None, True),
+    "newlines all CR": (WHOLE.replace(b"\n", b"\r"), "dimacs", None, False),
+    "newlines CR LF": (WHOLE.replace(b"\n", b"\r\n"), "dimacs", None, True),
+    # both halves get the edges before the first "\n", and `_freeze` collapses them
+    "CR before the first LF": (HEAD.replace(b"\n", b"\re 1 40\r") + HALF + HALF + b"e 2 40\n", "dimacs", None, True),
+    "edge list": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), "edgelist", None, True),
+    "edge list kept": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), "edgelist", {0, 40, 41}, True),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_read_cases(tmp_path, case):
+    """The split is taken exactly when it may be, with one child, and gives the serial outcome.
+
+    A split read of a valid file needs no serial read; an invalid one is
+    read again serially, which reports the error.
+    """
+    data, fmt, keep, split = SPLIT_CASES[case]
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    want = read_outcome(path, fmt, keep, split=False)
+    with counted_forks() as forks, counted_serial_reads() as serial:
+        assert read_outcome(path, fmt, keep) == want
+    assert len(forks) == split
+    assert len(serial) == (not split or not isinstance(want[0], int))
+    known = {  # m of a graph, or the message of an error: the first in file order
+        "plain": 60, "newlines CR LF": 60, "edge list": 60, "second half with no newline": 31,
+        "CR before the first LF": 32,
+        "errors in both halves": "line 2: endpoint out of range in 'e 1 41'",
+    }
+    if case in known:
+        assert want[1] == known[case]
+
+
+def child_fault(monkeypatch, fault):
+    """Make the forked child fail as `fault` says, partway through its half."""
+    parent, parse_lists = os.getpid(), graph._parse
+
+    def pieces_then_fault(pieces):
+        yield next(pieces)
+        if fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(0 if fault == "exits 0" else 1)
+
+    def faulty(pieces, fmt, keep=None):
+        if os.getpid() != parent:
+            pieces = pieces_then_fault(iter(pieces))
+        return parse_lists(pieces, fmt, keep)
+
+    monkeypatch.setattr(graph, "_parse", faulty)
+
+
+@pytest.mark.parametrize("fault", ["killed", "exits 0", "exits 1", "sends nothing", "fails after sending"])
+def test_split_read_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
+    """A child that dies, ends without its records or exits nonzero is reaped and the serial read runs."""
+    data, fmt, keep, _ = SPLIT_CASES["plain"]
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    want = read_outcome(path, fmt, keep, split=False)
+    send = graph._send
+
+    def send_then_fail(out, adj):
+        send(out, adj)
+        raise RuntimeError("after the last record")
+
+    if fault == "sends nothing":
+        monkeypatch.setattr(graph, "_send", lambda out, adj: None)
+    elif fault == "fails after sending":
+        monkeypatch.setattr(graph, "_send", send_then_fail)
+    else:
+        child_fault(monkeypatch, fault)
+    with counted_forks() as forks, counted_serial_reads() as serial:
+        assert read_outcome(path, fmt, keep) == want
+    assert len(forks) == 1 and serial == [1]
+
+
+def test_split_read_kills_the_child_on_keyboard_interrupt(tmp_path, monkeypatch):
+    """An interrupt in the parent's half kills and reaps the child, then propagates."""
+    data, fmt, keep, _ = SPLIT_CASES["plain"]
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    parent = os.getpid()
+
+    def interrupted(pieces, fmt, keep=None):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(graph, "_parse", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        read_outcome(path, fmt, keep)
+    assert time.perf_counter() - t0 < 30
 
 
 # Faults that fit a plain line's width: `plain_pieces_text` puts one on
