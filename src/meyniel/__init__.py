@@ -26,17 +26,8 @@ from .certify import (
     verify_optimal_pair,
 )
 from .clique import CliqueComplete, CliqueFailure, greedy_clique, greedy_clique_over
-from .graph import (
-    GenSpec,
-    Graph,
-    GraphInputError,
-    GraphParseError,
-    build,
-    generate,
-    parse,
-    parse_stream,
-    to_dimacs,
-)
+from .gen import GenSpec, generate
+from .graph import Graph, GraphInputError, GraphParseError, build, parse, parse_stream, to_dimacs
 from .lexcolor import ColorTrace, ForcedOrderError, lex_color
 from .niceset import NiceCheckWitness, nice_check
 from .obstruction import InternalInvariantError, extract_obstruction

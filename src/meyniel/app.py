@@ -28,19 +28,10 @@ from .certify import (
     verify_optimal_pair,
 )
 from .clique import CliqueFailure, greedy_clique, greedy_clique_over
+from .gen import FAMILIES, GenSpec, generate
 # `parse` has no caller here; it stays bound as `meyniel.app.parse` for the
 # in-process callers in bench/run.py and the span wrapper in bench/tracing.py
-from .graph import (
-    FAMILIES,
-    GenSpec,
-    Graph,
-    GraphInputError,
-    dimacs_pieces,
-    generate,
-    parse,
-    parse_split,
-    parse_stream,
-)
+from .graph import Graph, GraphInputError, dimacs_pieces, parse, parse_split, parse_stream
 from .lexcolor import lex_color
 from .niceset import nice_check
 from .obstruction import (

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: construction, parsing, and seeded generators.
+"""Simple undirected graphs: construction, parsing and serialization.
 
 Vertices are 0..n-1.  Adjacency is one ascending neighbor tuple per
 vertex: neighbor iteration is a tuple walk and membership is a binary
@@ -8,18 +8,18 @@ immutable once built.
 
 One streaming loop parses both text formats.  It takes the text as
 pieces of about 16 KiB, each ending just after a "\n", so only one
-piece's lines exist at once.  `parse` cuts a str into such pieces;
-`parse_stream` reads them from a text file object, so a file's text is
-never held whole.  A piece after the header made only of canonical edge
-lines ("e 12 7", single spaces, no leading zeros) is checked in bulk:
-split once, each new token range-checked once, self-loops found by
-string equality.  Any other piece takes the line loop, whose hot
-branch takes edge lines; every other line (header, comment, blank or
-malformed) goes to one cold helper.  Both routes intern endpoint tokens: a token
-seen before costs one dict lookup, and every occurrence of it shares
-one int object in the neighbor tuples.  The token dict lives until the
-graph is built; it is largest when every token is distinct, as in a
-perfect matching.
+piece's lines exist at once.  One cutter makes them from fixed-size
+blocks, which `parse` slices from a str and `parse_stream` reads from a
+text file object, so a file's text is never held whole.  A piece after
+the header made only of canonical edge lines ("e 12 7", single spaces,
+no leading zeros) is checked in bulk: split once, each new token
+range-checked once, self-loops found by string equality.  Any other
+piece takes the line loop, whose hot branch takes edge lines; every
+other line (header, comment, blank or malformed) goes to one cold
+helper.  Both routes intern endpoint tokens: a token seen before costs
+one dict lookup, and every occurrence of it shares one int object in
+the neighbor tuples.  The token dict lives until the graph is built; it
+is largest when every token is distinct, as in a perfect matching.
 
 `parse_stream` can also keep a set of vertices: only they get neighbor
 tuples, each complete, and every other vertex gets `()`.  Such a graph
@@ -45,7 +45,6 @@ lines at a time, so writing a graph holds no edge list and no whole text.
 from __future__ import annotations
 
 import os
-import random
 import re
 import stat
 import sys
@@ -56,9 +55,6 @@ from collections import deque
 from functools import partial
 from itertools import chain, compress, filterfalse, islice
 from operator import eq
-from typing import NamedTuple
-
-from .record import record
 
 
 class GraphInputError(ValueError):
@@ -168,7 +164,7 @@ def parse(text: str, fmt: str = "dimacs") -> Graph:
     "c ..." lines are comments.  edgelist: first non-blank line is "<n>",
     then "<u> <v>" lines (0-based); blank lines are ignored.
     """
-    return _freeze(_parse(_text_pieces(text), fmt))
+    return _freeze(_parse(_cut(text[i:i + _SLICE] for i in range(0, len(text), _SLICE)), fmt))
 
 
 def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
@@ -199,14 +195,6 @@ def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
 _SLICE = 1 << 14
 
 
-def _text_pieces(text: str):
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        yield text[start:cut]
-        start = cut
-
-
 def _cut(blocks):
     # Each text block is cut after its last "\n" and the tail carried on.
     # A block without "\n" is only held, and the held blocks are joined
@@ -220,7 +208,8 @@ def _cut(blocks):
             held = [block[cut:]]
         else:
             held.append(block)
-    yield "".join(held)
+    if tail := "".join(held):
+        yield tail
 
 
 # A regular file of at least _SPLIT bytes is parsed on two cores when it
@@ -563,133 +552,3 @@ def dimacs_pieces(g: Graph):
     yield f"p edge {g.n} {g.m}\n"
     for u, a in enumerate(g._nbrs, 1):  # 1-based u: the later neighbors are those >= u
         yield "".join([f"e {u} {v + 1}\n" for v in a[bisect_left(a, u):]])
-
-
-FAMILIES = ("gnp", "chordal", "bipartite", "cycle", "complete", "edgeless", "builtin")
-
-# Two hand-built instances used as goldens throughout the test suite.
-#
-# p6bar: complement of the path u-v-w-x-y-z; the smallest graph whose
-# greedy-clique run fails and yields an odd cycle with one chord.
-_P6BAR_VERTS = "uvwxyz"
-_P6BAR_NONEDGES = (("u", "v"), ("v", "w"), ("w", "x"), ("x", "y"), ("y", "z"))
-
-# sec5: three disjoint triangles {a,d,e}, {b,f,g}, {c,h,i} joined by a
-# sparse matching-like set of cross edges; its stable sets exercise the
-# nice-ordering checker.
-_SEC5_VERTS = "abcdefghi"
-_SEC5_EDGES = (
-    ("a", "d"), ("a", "e"), ("d", "e"),
-    ("b", "f"), ("b", "g"), ("f", "g"),
-    ("c", "h"), ("c", "i"), ("h", "i"),
-    ("a", "f"), ("a", "h"), ("b", "d"), ("b", "i"), ("c", "e"), ("c", "g"),
-)
-
-
-def _builtin(name: str) -> Graph:
-    if name == "p6bar":
-        idx = {ch: k for k, ch in enumerate(_P6BAR_VERTS)}
-        non = {tuple(sorted((idx[a], idx[b]))) for a, b in _P6BAR_NONEDGES}
-        es = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in non]
-        return build(6, es)
-    if name == "sec5":
-        idx = {ch: k for k, ch in enumerate(_SEC5_VERTS)}
-        return build(9, [(idx[a], idx[b]) for a, b in _SEC5_EDGES])
-    raise GraphInputError(f"unknown builtin {name!r} (expected p6bar or sec5)")
-
-
-class _GenFields(NamedTuple):
-    family: str
-    n: int = 0
-    p: float = 0.5
-    seed: int = 0
-    name: str = ""
-
-
-@record
-class GenSpec(_GenFields):
-    """Parameters for generate().  Unused fields may stay at defaults."""
-
-    __slots__ = ()
-
-    # NamedTuple reserves __new__ in its own body, hence the field base
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.family not in FAMILIES:
-            raise GraphInputError(f"unknown family {self.family!r}")
-        if self.family != "builtin" and self.n < 0:
-            raise GraphInputError(f"n must be >= 0, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise GraphInputError(f"p must be in [0, 1], got {self.p}")
-        return self
-
-
-def generate(spec: GenSpec) -> Graph:
-    """Generate a graph; same spec (seed included) gives the same graph."""
-    fam, n = spec.family, spec.n
-    if fam == "builtin":
-        return _builtin(spec.name)
-    if fam == "edgeless":
-        return build(n, [])
-    if fam == "complete":
-        return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if fam == "cycle":
-        if n in (1, 2):
-            raise GraphInputError(f"cycle needs n=0 or n>=3, got {n}")
-        return build(n, [(v, (v + 1) % n) for v in range(n)])
-    if fam == "gnp":
-        return _gnp(n, spec.p, spec.seed)
-    if fam == "bipartite":
-        return _bipartite(n, spec.p, spec.seed)
-    if fam == "chordal":
-        return _chordal(n, spec.p, spec.seed)
-    raise AssertionError(fam)
-
-
-def _gnp(n: int, p: float, seed: int) -> Graph:
-    import numpy as np  # imported here: only `gen` needs it, and it dominates import time
-
-    # One row of the n x n uniform matrix at a time: the Generator yields
-    # the same stream in row-sized draws, so graphs match the full-matrix
-    # draw bit for bit in O(n) floats.  Row u keeps its entries above u.
-    rng = np.random.default_rng(seed)
-
-    def edges():
-        for u in range(n):
-            row = rng.random(n)
-            for v in np.flatnonzero(row[u + 1:] < p).tolist():
-                yield u, u + 1 + v
-
-    return build(n, edges())
-
-
-def _bipartite(n: int, p: float, seed: int) -> Graph:
-    import numpy as np
-
-    left = n // 2
-    rng = np.random.default_rng(seed)
-
-    def edges():
-        for u in range(left):
-            for v in np.flatnonzero(rng.random(n - left) < p).tolist():
-                yield u, left + v
-
-    return build(n, edges())
-
-
-def _chordal(n: int, p: float, seed: int) -> Graph:
-    # Grow vertex by vertex, attaching each new vertex to a random subset
-    # of a previously formed clique; the reverse insertion order is then a
-    # perfect elimination order, so the result is chordal.
-    rng = random.Random(seed)
-    edges = []
-    cliques: list[list[int]] = []  # cliques[v] = the clique {v} ∪ attachment(v)
-    for v in range(n):
-        if v == 0:
-            cliques.append([0])
-            continue
-        base = cliques[rng.randrange(v)]
-        attach = [u for u in base if rng.random() < p]
-        edges.extend((u, v) for u in attach)
-        cliques.append(attach + [v])
-    return build(n, edges)

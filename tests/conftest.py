@@ -60,6 +60,30 @@ def counted_forks():
         os.fork = fork
 
 
+class CountingGraph(Graph):
+    """`g` with its adjacency reads counted: 1 per `has_edge`, len + 1 per `neighbors`.
+
+    Every pipeline stage reaches the graph only through these two
+    methods, and no caller scans a returned tuple twice, so `count`
+    bounds the adjacency work from above without a clock.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, g: Graph):
+        super().__init__(g._nbrs)
+        self.count = 0
+
+    def has_edge(self, u: int, v: int) -> bool:
+        self.count += 1
+        return super().has_edge(u, v)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        a = super().neighbors(v)
+        self.count += len(a) + 1
+        return a
+
+
 @st.composite
 def graphs(draw, min_n=0, max_n=12):
     n = draw(st.integers(min_n, max_n))

@@ -3,8 +3,9 @@
 These are the binding end-to-end checks for the package: exhaustive
 small-graph sweeps, randomized sweeps with oracle cross-checks, two
 pinned golden runs, structured-family behavior, per-vertex stable set
-extraction, scaling, equivalence with the naive reference coloring under
-every legal tie-break, and certificate tampering.
+extraction, scaling, adjacency reads linear in n + m, equivalence with
+the naive reference coloring under every legal tie-break, and
+certificate tampering.
 Run with -rA (or -s) to see the summary lines for passing tests too.
 """
 
@@ -24,12 +25,13 @@ from meyniel.certify import (
     verify_optimal_pair,
 )
 from meyniel.clique import CliqueComplete, CliqueFailure, greedy_clique
-from meyniel.graph import GenSpec, generate
+from meyniel.gen import GenSpec, generate
 from meyniel.lexcolor import lex_color
 from meyniel.niceset import nice_check
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
 from conftest import (
+    CountingGraph,
     all_graphs,
     edge_list,
     is_strong_stable_set,
@@ -254,6 +256,45 @@ def test_near_linear_scaling():
         "ratios "
         + ", ".join(f"{2 * n}/{n}={r:.2f}" for n, r in ratios.items())
         + f", t(2000)={times[2000]:.2f}s",
+    )
+
+
+# Families on which every pipeline below is linear today: dense and sparse
+# G(n, p), chordal and bipartite graphs, at sizes that take about 1 s in all
+ADJACENCY_SPECS = (
+    [GenSpec("gnp", n=n, p=0.5, seed=17) for n in (250, 500, 1000)]
+    + [GenSpec("gnp", n=n, p=10 / n, seed=17) for n in (2000, 4000)]
+    + [GenSpec("chordal", n=n, p=0.9, seed=17) for n in (1000, 4000)]
+    + [GenSpec("bipartite", n=500, p=0.5, seed=17), GenSpec("bipartite", n=4000, p=10 / 2000, seed=17)]
+)
+
+# count <= c * (n + m) for each pipeline; the largest ratios on the specs
+# above are 3.98 (solve, bipartite), 7.91 (stable set, sparse bipartite)
+# and 3.04 (decode of that stable set)
+ADJACENCY_BOUNDS = {"robust_solve": 5, "robust_stable_set": 10, "decode": 4}
+
+
+def test_adjacency_reads_are_linear():
+    """Deterministic complexity gate: adjacency reads per unit of n + m, not seconds."""
+    worst = {key: (0.0, "") for key in ADJACENCY_BOUNDS}
+
+    def read(key, spec, g, call):
+        g.count = 0
+        out = call()
+        worst[key] = max(worst[key], (g.count / (g.n + g.m), repr(spec)))
+        return out
+
+    for spec in ADJACENCY_SPECS:
+        g = CountingGraph(generate(spec))
+        cert = read("robust_solve", spec, g, lambda: robust_solve(g))
+        read("decode", spec, g, lambda: decode(g, encode(cert)))
+        cert = read("robust_stable_set", spec, g, lambda: robust_stable_set(g, 0))
+        read("decode", spec, g, lambda: decode(g, encode(cert)))
+    report(
+        "every pipeline reads O(n + m) adjacency entries",
+        all(worst[key][0] <= c for key, c in ADJACENCY_BOUNDS.items()),
+        "; ".join(f"{key} {ratio:.2f} (n + m) on {spec}, bound {ADJACENCY_BOUNDS[key]}"
+                  for key, (ratio, spec) in worst.items()),
     )
 
 

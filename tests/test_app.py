@@ -19,7 +19,8 @@ from meyniel.certify import (
     verify_obstruction,
 )
 from meyniel.clique import CliqueComplete, greedy_clique
-from meyniel.graph import GenSpec, generate, parse, to_dimacs
+from meyniel.gen import GenSpec, generate
+from meyniel.graph import parse, to_dimacs
 from meyniel.niceset import nice_check
 from meyniel.obstruction import InternalInvariantError, extract_obstruction
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf

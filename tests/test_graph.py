@@ -14,12 +14,11 @@ import hypothesis.strategies as st
 
 from meyniel import app, graph
 from meyniel.app import _read_graph, main
+from meyniel.gen import GenSpec, generate
 from meyniel.graph import (
-    GenSpec,
     GraphInputError,
     GraphParseError,
     build,
-    generate,
     parse,
     parse_stream,
     to_dimacs,
@@ -178,6 +177,14 @@ GENERATED_SHA256 = [
     (GenSpec("bipartite", n=9, p=0.5, seed=1), "64ed6620a4079cef6b5d3026caa404bf2f55fa25fb0daae982df49341c275865"),
     (GenSpec("bipartite", n=101, p=0.3, seed=42), "a3491d08ec77302a747a318a9583cf3369bd0fcc6f768536ab24a462ec2297f3"),
     (GenSpec("bipartite", n=60, p=0.7, seed=5), "0e45b39361d8fcbcaae37faded9767bb4647419a98b96e8ac59a5aa1c9dd1150"),
+    # every other family, taken before the generators moved to meyniel.gen
+    (GenSpec("chordal", n=40, p=0.9, seed=2), "a5311a8bcf4e485ee36380652fe03c498b83971b78e0589eb06188855a0b0dbb"),
+    (GenSpec("chordal", n=120, p=0.3, seed=11), "d0d0faf6c0bfc0e7183258b9e89b3f2e4ad1f8170ce2836bac4158153ab700da"),
+    (GenSpec("cycle", n=7), "c54f81957d34f47c49e9ad9a31703f38338723700e754bae0fefb63cb99196b5"),
+    (GenSpec("complete", n=6), "b773e905c718366fff42d165620f18f3ceee229bbade2420bd942d91f4b44b58"),
+    (GenSpec("edgeless", n=4), "5526a0e741337b1f4f87989736f5e93207c42114efa8b7f9cad5d50e7ddff28b"),
+    (GenSpec("builtin", name="p6bar"), "5ae7aa7a0c32684dcd3358311b439c0d4dc09325609ac865746e48a11982942d"),
+    (GenSpec("builtin", name="sec5"), "b79dd7784d1021e3892a61492a424d66de6ea1a32438744c5bcca6ab130f81d4"),
 ]
 
 
@@ -649,18 +656,21 @@ def test_full_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():
-    # 125,000 blocks without a "\n".  On a 2-core Xeon this takes about
-    # 0.1 s; a reader that re-joined its held tail on every block took 14 s
+    # 125,000 blocks without a "\n", from a file and from a str.  On a
+    # 2-core Xeon each read takes about 0.1 s; a reader that re-joined its
+    # held tail on every block took 14 s
     saved = graph._SLICE
     graph._SLICE = 16
     try:
         t0 = time.perf_counter()
         with pytest.raises(GraphParseError) as exc:
             parse_stream(io.StringIO("x" * 2_000_000))
+        with pytest.raises(GraphParseError) as text_exc:
+            parse("x" * 2_000_000)
         assert time.perf_counter() - t0 < 5.0
     finally:
         graph._SLICE = saved
-    assert exc.value.line == 1
+    assert exc.value.line == text_exc.value.line == 1
 
 
 @pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])

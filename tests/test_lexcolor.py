@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from meyniel.graph import build, generate, GenSpec
+from meyniel.gen import generate, GenSpec
+from meyniel.graph import build
 from meyniel.lexcolor import (
     ColorTrace,
     ForcedOrderError,

@@ -491,7 +491,7 @@ class TestValidatorsCatchCorruption:
 def test_golden_forced_run():
     # complement of the 6-path: the stuck clique sits at color 1 and the
     # machinery returns the 5-wheel-ish odd cycle on the other vertices
-    from meyniel.graph import generate, GenSpec
+    from meyniel.gen import generate, GenSpec
 
     g = generate(GenSpec(family="builtin", name="p6bar"))
     trace = lex_color(g, (1, 4, 2, 0, 3, 5))

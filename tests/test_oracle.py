@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from meyniel.graph import build, generate, GenSpec
+from meyniel.gen import generate, GenSpec
+from meyniel.graph import build
 from meyniel.oracle import OracleSizeError, _neighbor_mask, chromatic_bf, is_meyniel_bf, omega_bf
 
 from conftest import (

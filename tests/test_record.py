@@ -4,7 +4,8 @@ import pytest
 
 from meyniel.certify import MeynielObstruction, NiceStableSetCert, OptimalPair, Verdict
 from meyniel.clique import CliqueComplete, CliqueFailure
-from meyniel.graph import GenSpec, build
+from meyniel.gen import GenSpec
+from meyniel.graph import build
 from meyniel.lexcolor import lex_color
 from meyniel.niceset import NiceCheckWitness
 from meyniel.obstruction import BadPath, ContractionView, NearObstruction

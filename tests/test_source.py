@@ -112,6 +112,12 @@ def test_catches_a_solver_import_in_certify(planted):
     assert imported_modules(tree) & SOLVER_MODULES
 
 
+def test_graph_and_gen_import_only_what_they_build_on():
+    """`graph` builds on `record` at most, and `gen` on `graph` and `record` only."""
+    assert imported_modules(module_tree("graph")) <= {"record"}
+    assert imported_modules(module_tree("gen")) == {"graph", "record"}
+
+
 def lowest_python() -> tuple[int, int]:
     """The lowest Python that pyproject.toml declares, as (major, minor)."""
     text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
