@@ -136,7 +136,7 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
     return _verified(g, OptimalPair(coloring=tuple(coloring), clique=res.clique))
 
 
-def _read_graph(path: str, fmt: str, keep=None) -> Graph:
+def _read_graph(path: str, keep=None) -> Graph:
     """The graph in `path` ('-' for stdin), read as strict UTF-8; `keep` as in parse_stream.
 
     A large file is parsed on two cores by `parse_split`; whenever that
@@ -149,19 +149,19 @@ def _read_graph(path: str, fmt: str, keep=None) -> Graph:
             # bytes; decode its bytes as open() does, then leave them open
             fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
             try:
-                return parse_stream(fh, fmt, keep)
+                return parse_stream(fh, keep)
             finally:
                 fh.detach()
         with open(path, "r", encoding="utf-8") as fh:
-            g = parse_split(fh, fmt, keep)
-            return parse_stream(fh, fmt, keep) if g is None else g
+            g = parse_split(fh, keep)
+            return parse_stream(fh, keep) if g is None else g
     except UnicodeDecodeError as exc:  # its position counts from the block, not the file
         raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
     except MemoryError:  # the input, not the program, is at fault
         raise GraphInputError("graph input is too large: out of memory while reading it") from None
 
 
-def _verify(path: str, fmt: str, cert_path: str) -> int:
+def _verify(path: str, cert_path: str) -> int:
     """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
 
     The certificate is loaded first, so that an obstruction's graph keeps
@@ -173,9 +173,9 @@ def _verify(path: str, fmt: str, cert_path: str) -> int:
             data = fh.read()
         cert = load(data)
     except (OSError, CertificateFormatError):
-        _read_graph(path, fmt, keep=())
+        _read_graph(path, keep=())
         raise
-    g = _read_graph(path, fmt, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
+    g = _read_graph(path, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
     try:
         cert = decode(g, data)
     except CertificateInvalidError as exc:
@@ -212,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_graph_args(p):
-        p.add_argument("graph", nargs="?", default="-", help="graph file, '-' for stdin")
-        p.add_argument("--format", choices=("dimacs", "edgelist"), default="dimacs")
+        p.add_argument("graph", nargs="?", default="-", help="DIMACS graph file, '-' for stdin")
 
     solve = sub.add_parser("solve", help="color the graph or produce an obstruction")
     add_graph_args(solve)
@@ -258,9 +257,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            return _verify(args.graph, args.format, args.cert)
+            return _verify(args.graph, args.cert)
 
-        g = _read_graph(args.graph, args.format)
+        g = _read_graph(args.graph)
 
         if args.command == "oracle":
             from .oracle import chromatic_bf, is_meyniel_bf, omega_bf  # only this command needs it

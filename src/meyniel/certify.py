@@ -139,42 +139,61 @@ def verify_optimal_pair(g: Graph, coloring, clique) -> Verdict:
 
 
 def verify_obstruction(g: Graph, ob: MeynielObstruction) -> Verdict:
-    """Odd cycle of length >= 5, and its only chord is the declared one."""
+    """Odd cycle of length >= 5, and its only chord is the declared one.
+
+    Reads each cycle vertex's neighbor list once: O(p + the sum of the
+    cycle vertices' degrees) for a cycle of p vertices.
+    """
     cyc = list(ob.cycle)
     p = len(cyc)
     if p < 5:
         return _bad(f"cycle has {p} < 5 vertices")
     if p % 2 == 0:
         return _bad(f"cycle length {p} is even")
-    if len(set(cyc)) != p:
+    on = set(cyc)
+    if len(on) != p:
         return _bad("cycle has repeated vertices")
     for v in cyc:
         if not 0 <= v < g.n:
             return _bad(f"cycle vertex {v} out of range")
-    for i in range(p):
-        u, v = cyc[i], cyc[(i + 1) % p]
-        if not g.has_edge(u, v):
+    # extra[i]: the cycle vertices adjacent to cyc[i], for each position i
+    # that has more than its two cycle neighbors.  Once every consecutive
+    # pair is an edge, a set of more than two is exactly such a position
+    extra = {}
+    for i, u in enumerate(cyc):
+        seen = on.intersection(g.neighbors(u))
+        v = cyc[(i + 1) % p]
+        if v not in seen:
             return _bad(f"consecutive cycle pair {u}-{v} not adjacent")
-    ci = cj = -1  # cycle positions of the declared chord, ci < cj
+        if len(seen) > 2:
+            extra[i] = seen
+    absent = None  # the declared chord, ascending, if it is not an edge
     if ob.chord is not None:
         cu, cv = ob.chord
-        pos = {v: i for i, v in enumerate(cyc)}
-        if cu not in pos or cv not in pos or cu == cv:
+        if cu not in on or cv not in on or cu == cv:
             return _bad(f"chord {cu}-{cv} is not a pair of cycle vertices")
-        ci, cj = sorted((pos[cu], pos[cv]))
-        if cj - ci in (1, p - 1):
+        ci, cj = cyc.index(cu), cyc.index(cv)
+        if abs(ci - cj) in (1, p - 1):
             return _bad(f"chord {cu}-{cv} joins consecutive cycle vertices")
-    # every non-consecutive pair (i, j), i < j, in cycle order; the first
-    # edge other than the declared chord is the one the reason names
-    for i in range(p - 2):
-        u = cyc[i]
-        for j in range(i + 2, p - 1 if i == 0 else p):
-            if g.has_edge(u, cyc[j]) and not (i == ci and j == cj):
-                v = cyc[j]
-                return _bad(f"undeclared chord {min(u, v)}-{max(u, v)}")
-    if ci >= 0 and not g.has_edge(cyc[ci], cyc[cj]):
-        u, v = sorted(ob.chord)
-        return _bad(f"declared chord {u}-{v} is not an edge")
+        if cv in extra.get(ci, ()):
+            extra[ci].discard(cv)
+            extra[cj].discard(cu)
+        else:
+            absent = sorted(ob.chord)
+    # The reason names the least pair (i, j), i < j, of positions joined
+    # by an edge other than the declared chord.  At the least i with such
+    # an edge, every vertex it reaches sits past i + 1: an earlier one
+    # would have named cyc[i] at its own, earlier position.  So j is
+    # their least position.  The loop above filled `extra` in ascending i.
+    for i, seen in extra.items():
+        seen.discard(cyc[i - 1])
+        seen.discard(cyc[(i + 1) % p])
+        if seen:
+            pos = {v: k for k, v in enumerate(cyc)}
+            u, v = cyc[i], cyc[min(map(pos.__getitem__, seen))]
+            return _bad(f"undeclared chord {min(u, v)}-{max(u, v)}")
+    if absent:
+        return _bad(f"declared chord {absent[0]}-{absent[1]} is not an edge")
     return _ok()
 
 

@@ -6,7 +6,7 @@ search.  Parsing and `build` fill per-vertex lists in one pass over the
 edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
 immutable once built.
 
-One streaming loop parses both text formats.  It takes the text as
+One streaming loop parses DIMACS text.  It takes the text as
 pieces of about 16 KiB, each ending just after a "\n", so only one
 piece's lines exist at once.  One cutter makes them from fixed-size
 blocks, which `parse` slices from a str and `parse_stream` reads from a
@@ -157,22 +157,21 @@ def build(n: int, edges) -> Graph:
     return _freeze(adj)
 
 
-def parse(text: str, fmt: str = "dimacs") -> Graph:
-    """Parse graph text in `dimacs` or `edgelist` format.
+def parse(text: str) -> Graph:
+    """Parse DIMACS graph text.
 
-    dimacs: one "p edge <n> <m>" line, then "e <u> <v>" lines (1-based);
-    "c ..." lines are comments.  edgelist: first non-blank line is "<n>",
-    then "<u> <v>" lines (0-based); blank lines are ignored.
+    One "p edge <n> <m>" line, then "e <u> <v>" lines (1-based); "c ..."
+    lines are comments, and blank lines are ignored.
     """
-    return _freeze(_parse(_cut(text[i:i + _SLICE] for i in range(0, len(text), _SLICE)), fmt))
+    return _freeze(_parse(_cut(text[i:i + _SLICE] for i in range(0, len(text), _SLICE))))
 
 
-def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
+def parse_stream(fh, keep=None) -> Graph:
     """`parse` of the text that a text file object `fh` reads.
 
     Reads `fh.read(_SLICE)` blocks (16 KiB) until EOF, so only about one
     block of the text is held at a time.  Lines, line numbers and errors
-    are those of `parse(fh.read(), fmt)`, except that an error `fh` raises
+    are those of `parse(fh.read())`, except that an error `fh` raises
     while reading (such as a UnicodeDecodeError) comes only when its block
     is read, after any error in the lines before it.
 
@@ -183,7 +182,7 @@ def parse_stream(fh, fmt: str = "dimacs", keep=None) -> Graph:
     and the route each takes do not depend on `keep`, so the errors are
     the same as without it.  Kept vertices outside 0..n-1 are ignored.
     """
-    return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), fmt, keep))
+    return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), keep))
 
 
 # The parse loop takes the text in pieces that end just after a "\n",
@@ -222,8 +221,8 @@ _SPLIT = 1 << 20
 _SEND = 1 << 14
 
 
-def parse_split(fh, fmt: str = "dimacs", keep=None) -> Graph | None:
-    """`parse_stream(fh, fmt, keep)` of a large file, parsed by two processes; or None.
+def parse_split(fh, keep=None) -> Graph | None:
+    """`parse_stream(fh, keep)` of a large file, parsed by two processes; or None.
 
     `fh` is a text file that `open(path, encoding="utf-8")` returned and
     nothing has read yet.  The read is split only if `fh` is a regular
@@ -248,9 +247,9 @@ def parse_split(fh, fmt: str = "dimacs", keep=None) -> Graph | None:
         if not (stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT
                 and hasattr(os, "fork") and _cpus() > 1):
             return None
-        head = _header(fd, fmt, info.st_size)
+        head = _header(fd, info.st_size)
         mid = head and _middle(fd, info.st_size)
-        return _parse_halves(fd, head, mid, fmt, keep) if mid else None
+        return _parse_halves(fd, head, mid, keep) if mid else None
     except Exception:  # reported, if it is the input's, by the serial read
         return None
 
@@ -261,7 +260,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _header(fd: int, fmt: str, size: int) -> str | None:
+def _header(fd: int, size: int) -> str | None:
     """The text up to the first "\n" if line 1 is a header of at most `size` vertices.
 
     Raises if line 1 is malformed.  Any further line before that "\n"
@@ -273,7 +272,7 @@ def _header(fd: int, fmt: str, size: int) -> str | None:
     block = os.pread(fd, _SLICE, 0)
     head = block[:block.find(b"\n") + 1].decode("utf-8")
     line = head.splitlines()[0] if head else ""
-    n = _other_line(line.split(), line, 1, fmt == "dimacs", False)
+    n = _other_line(line.split(), line, 1, False)
     return head if n is not None and n <= size else None
 
 
@@ -301,7 +300,7 @@ def _decoded(fd: int, start: int, end: int | None = None):
     yield decode(b"", True)
 
 
-def _parse_halves(fd: int, head: str, mid: int, fmt: str, keep) -> Graph | None:
+def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
     """The graph, the parent parsing bytes 0..mid and a forked child the rest; None if the child fails."""
     r, w = os.pipe()
     try:
@@ -311,12 +310,12 @@ def _parse_halves(fd: int, head: str, mid: int, fmt: str, keep) -> Graph | None:
         os.close(w)
         raise
     if pid == 0:
-        _child(r, w, fd, head, mid, fmt, keep)
+        _child(r, w, fd, head, mid, keep)
     os.close(w)
     status = None
     try:
         with open(r, "rb") as stream:
-            adj = _parse(_cut(_decoded(fd, 0, mid)), fmt, keep)
+            adj = _parse(_cut(_decoded(fd, 0, mid)), keep)
             whole = _receive(stream, adj)
         status = os.waitpid(pid, 0)[1]
     finally:
@@ -328,7 +327,7 @@ def _parse_halves(fd: int, head: str, mid: int, fmt: str, keep) -> Graph | None:
     return _freeze(adj) if whole and status == 0 else None
 
 
-def _child(r: int, w: int, fd: int, head: str, mid: int, fmt: str, keep) -> None:
+def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
     """The forked child's whole life: parse from `mid` after `head`, send the lists, exit.
 
     It leaves only through `os._exit`, whatever is raised (a broken pipe
@@ -339,7 +338,7 @@ def _child(r: int, w: int, fd: int, head: str, mid: int, fmt: str, keep) -> None
     try:
         os.close(r)
         with open(w, "wb") as out:
-            _send(out, _parse(chain([head], _cut(_decoded(fd, mid))), fmt, keep))
+            _send(out, _parse(chain([head], _cut(_decoded(fd, mid))), keep))
         code = 0
     finally:
         os._exit(code)
@@ -378,14 +377,14 @@ def _receive(stream, adj: list) -> bool:
     return False
 
 
-def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) -> tuple[int, int]:
+def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str) -> tuple[int, int]:
     """0-based endpoints of tokens a, b of which at least one is new to `tok`.
 
     Checks as every edge line once did: bad int, then out of range.
     Only tokens that pass are stored, so later lines find them in `tok`.
     """
     try:
-        u, v = int(a) - base, int(b) - base
+        u, v = int(a) - 1, int(b) - 1
     except ValueError:
         raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
     if not (0 <= u < n and 0 <= v < n):
@@ -393,43 +392,36 @@ def _endpoints(tok: dict, a: str, b: str, base: int, n: int, ln: int, raw: str) 
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
-def _parse(pieces, fmt: str, keep=None) -> list:
-    """Both formats in one pass; `keep` as in `parse_stream`.
+def _parse(pieces, keep=None) -> list:
+    """The one pass over the pieces; `keep` as in `parse_stream`.
 
     Returns the per-vertex neighbor lists, for `_freeze`.  After the
     header each piece goes to `_plain_edges`, and one it declines to the
     line loop.
     """
-    if fmt not in ("dimacs", "edgelist"):
-        raise GraphInputError(f"unknown format {fmt!r}")
-    dimacs = fmt == "dimacs"
-    edgelist = not dimacs
-    base = 1 if dimacs else 0  # index of an edge line's first endpoint, and number of vertex 0
-    last = base + 1
     n = 0
     adj = None  # per-vertex neighbor lists, created by the header line
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
     kept = None  # with keep: the canonical tokens of the kept vertices
-    plain = _plain_patterns(dimacs)
     ln = 0
     for piece in pieces:
-        if adj is not None and _plain_edges(piece, plain, tok, kept, adj, base):
+        if adj is not None and _plain_edges(piece, tok, kept, adj):
             ln += piece.count("\n")
             continue
         for ln, raw in enumerate(piece.splitlines(), ln + 1):
             parts = raw.split()
-            if len(parts) == width and (edgelist or parts[0] == "e"):
-                a, b = parts[base], parts[last]
+            if len(parts) == width and parts[0] == "e":
+                a, b = parts[1], parts[2]
                 u, v = get(a), get(b)
                 if u is None or v is None:
-                    u, v = _endpoints(tok, a, b, base, n, ln, raw)
+                    u, v = _endpoints(tok, a, b, n, ln, raw)
                 if u == v:
                     raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
                 adj[u].append(v)
                 adj[v].append(u)
-            elif (count := _other_line(parts, raw, ln, dimacs, adj is not None)) is not None:
+            elif (count := _other_line(parts, raw, ln, adj is not None)) is not None:
                 n = count
                 if keep is None:
                     adj = [[] for _ in range(n)]
@@ -438,32 +430,28 @@ def _parse(pieces, fmt: str, keep=None) -> list:
                     ids = [v for v in keep if 0 <= v < n]
                     for v in ids:
                         adj[v] = []
-                    kept = {str(v + base) for v in ids}
-                width = last + 1
+                    kept = {str(v + 1) for v in ids}
+                width = 3
     if adj is None:
-        raise GraphParseError(1, "missing problem line" if dimacs else "empty input")
+        raise GraphParseError(1, "missing problem line")
     return adj
 
 
-def _plain_patterns(dimacs: bool) -> tuple[re.Pattern, re.Pattern]:
-    """The canonical edge line, and a "\n" that neither ends the piece nor starts one.
-
-    Canonical: ASCII digits without a leading zero (a lone "0" is an
-    edge-list vertex), single spaces, and "\n".  A piece is plain when
-    its first line is canonical and the second pattern is not found.  A
-    search keeps the regex engine's memory constant, where a fullmatch
-    of `(?:line)*` would stack state for every line.
-    """
-    num = "[1-9][0-9]*" if dimacs else "(?:0|[1-9][0-9]*)"
-    line = f"e {num} {num}\n" if dimacs else f"{num} {num}\n"
-    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
+# The canonical edge line: "e", two ASCII-digit tokens without a leading
+# zero, single spaces and "\n".  A piece is plain when its first line is
+# canonical and _BREAK, a "\n" that neither ends the piece nor starts a
+# canonical line, is not found.  A search keeps the regex engine's memory
+# constant, where a fullmatch of `(?:line)*` would stack state per line.
+_LINE = "e [1-9][0-9]* [1-9][0-9]*\n"
+_PLAIN = re.compile(_LINE)
+_BREAK = re.compile(f"\n(?!{_LINE}|\\Z)")
 
 
-def _plain_edges(piece: str, plain, tok: dict, kept: set | None, adj: list, base: int) -> bool:
+def _plain_edges(piece: str, tok: dict, kept: set | None, adj: list) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
     On canonical lines the line loop's checks reduce to two: each new
-    token is below n (it cannot be below 0), and no line's two tokens
+    token is at most n (it cannot be below 1), and no line's two tokens
     are equal.
     A token that passes is stored in `tok` at once: `tok` only ever
     holds valid tokens, so it stays right even when the piece is
@@ -471,16 +459,14 @@ def _plain_edges(piece: str, plain, tok: dict, kept: set | None, adj: list, base
     `kept`, the tokens of the kept vertices, only edges with a kept
     endpoint are stored; with None, every edge.  Never raises.
     """
-    line, brk = plain
-    if not line.match(piece) or brk.search(piece):
+    if not _PLAIN.match(piece) or _BREAK.search(piece):
         return False
     parts = piece.split()
-    width = base + 2
-    a, b = parts[base::width], parts[base + 1::width]
+    a, b = parts[1::3], parts[2::3]
     n = len(adj)
     digits = len(str(n))  # a longer canonical token is out of range, and int() may refuse it
     for t in filterfalse(tok.__contains__, chain(a, b)):
-        if len(t) > digits or (v := int(t) - base) >= n:
+        if len(t) > digits or (v := int(t) - 1) >= n:
             return False
         tok[t] = v
     if any(map(eq, a, b)):
@@ -498,7 +484,7 @@ def _plain_edges(piece: str, plain, tok: dict, kept: set | None, adj: list, base
     return True
 
 
-def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool) -> int | None:
+def _other_line(parts: list[str], raw: str, ln: int, started: bool) -> int | None:
     """The vertex count of a header line, None for a blank or comment line; else raise.
 
     `started` says a header was already read.
@@ -506,31 +492,23 @@ def _other_line(parts: list[str], raw: str, ln: int, dimacs: bool, started: bool
     if not parts:
         return None
     line = raw.strip()
-    if dimacs:
-        tag = parts[0]
-        if tag == "e":
-            raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}" if started
-                                  else "edge before problem line")
-        if tag.startswith("c"):
-            return None
-        if tag != "p":
-            raise GraphParseError(ln, f"unrecognized line {line!r}")
-        if started:
-            raise GraphParseError(ln, "duplicate problem line")
-        if len(parts) != 4 or parts[1] != "edge":
-            raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
-        nums, what = parts[2:], "problem line"  # the edge count must be an int too
-    else:
-        if started:
-            raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")
-        if len(parts) != 1:
-            raise GraphParseError(ln, f"expected vertex count, got {line!r}")
-        nums, what = parts, "vertex count"
+    tag = parts[0]
+    if tag == "e":
+        raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}" if started
+                              else "edge before problem line")
+    if tag.startswith("c"):
+        return None
+    if tag != "p":
+        raise GraphParseError(ln, f"unrecognized line {line!r}")
+    if started:
+        raise GraphParseError(ln, "duplicate problem line")
+    if len(parts) != 4 or parts[1] != "edge":
+        raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
     try:
-        n = int(nums[0])
-        int(nums[-1])
+        n = int(parts[2])
+        int(parts[3])  # the edge count must be an int too
     except ValueError:
-        raise GraphParseError(ln, f"bad {what} {line!r}") from None
+        raise GraphParseError(ln, f"bad problem line {line!r}") from None
     if n < 0:
         raise GraphParseError(ln, f"negative vertex count {n}")
     if n > sys.maxsize:  # no list can have an entry per vertex

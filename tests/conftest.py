@@ -321,8 +321,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def reference_parse(text: str, fmt: str) -> tuple[int, list[tuple[int, int]]]:
-    """Reference parser: collect an edge list, then build from bigint rows.
+def reference_parse(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Reference DIMACS parser: collect an edge list, then build from bigint rows.
 
     Splits the whole text at once and runs `int()` and the range check
     on every endpoint.  Same accepted texts, errors, line numbers and
@@ -330,12 +330,6 @@ def reference_parse(text: str, fmt: str) -> tuple[int, list[tuple[int, int]]]:
     interns endpoint tokens and fills neighbor lists in a single pass;
     the tests compare the two on generated text.
     """
-    if fmt == "dimacs":
-        return _reference_parse_dimacs(text)
-    return _reference_parse_edgelist(text)
-
-
-def _reference_parse_dimacs(text: str):
     n = None
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -375,42 +369,6 @@ def _reference_parse_dimacs(text: str):
             raise GraphParseError(ln, f"unrecognized line {line!r}")
     if n is None:
         raise GraphParseError(1, "missing problem line")
-    return _reference_build(n, edges)
-
-
-def _reference_parse_edgelist(text: str):
-    n = None
-    edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise GraphParseError(ln, f"expected vertex count, got {line!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise GraphParseError(ln, f"bad vertex count {line!r}") from None
-            if n < 0:
-                raise GraphParseError(ln, f"negative vertex count {n}")
-            if n > sys.maxsize:
-                raise GraphParseError(ln, f"vertex count {n} exceeds {sys.maxsize}")
-            continue
-        if len(parts) != 2:
-            raise GraphParseError(ln, f"expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(ln, f"bad edge line {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(ln, f"endpoint out of range in {line!r}")
-        if u == v:
-            raise GraphParseError(ln, f"self-loop in {line!r}")
-        edges.append((u, v))
-    if n is None:
-        raise GraphParseError(1, "empty input")
     return _reference_build(n, edges)
 
 

@@ -13,6 +13,7 @@ import hashlib
 import random
 import statistics
 import time
+from itertools import combinations
 
 from meyniel.app import color_via_stable_sets, robust_solve, robust_stable_set
 from meyniel.certify import (
@@ -26,6 +27,7 @@ from meyniel.certify import (
 )
 from meyniel.clique import CliqueComplete, CliqueFailure, greedy_clique
 from meyniel.gen import GenSpec, generate
+from meyniel.graph import build
 from meyniel.lexcolor import lex_color
 from meyniel.niceset import nice_check
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
@@ -274,6 +276,28 @@ ADJACENCY_SPECS = (
 ADJACENCY_BOUNDS = {"robust_solve": 5, "robust_stable_set": 10, "decode": 4}
 
 
+def hole_certificates():
+    """(name, graph, obstruction) for long holes, built by hand.
+
+    A permuted C_4001, the same hole with one declared chord between
+    positions 0 and 2000, and the K_4 blow-up of a permuted C_1001 (each
+    vertex a bag of 4, adjacent bags complete to each other; n = 4,004,
+    m = 22,022) with one vertex per bag as the cycle.  Only `decode`
+    runs on them: extraction is still quadratic in the cycle length.
+    """
+    rng = random.Random(17)
+    lab = rng.sample(range(4001), 4001)
+    ring = [(lab[i], lab[i - 1]) for i in range(4001)]
+    yield "C_4001", build(4001, ring), MeynielObstruction(cycle=tuple(lab))
+    chord = (min(lab[0], lab[2000]), max(lab[0], lab[2000]))
+    yield "C_4001 + chord", build(4001, ring + [chord]), MeynielObstruction(cycle=tuple(lab), chord=chord)
+    lab = rng.sample(range(4004), 4004)
+    bags = [lab[4 * i:4 * i + 4] for i in range(1001)]
+    edges = [e for bag in bags for e in combinations(bag, 2)]
+    edges += [(a, b) for i in range(1001) for a in bags[i] for b in bags[i - 1]]
+    yield "K_4 blow-up of C_1001", build(4004, edges), MeynielObstruction(cycle=tuple(bag[0] for bag in bags))
+
+
 def test_adjacency_reads_are_linear():
     """Deterministic complexity gate: adjacency reads per unit of n + m, not seconds."""
     worst = {key: (0.0, "") for key in ADJACENCY_BOUNDS}
@@ -290,6 +314,9 @@ def test_adjacency_reads_are_linear():
         read("decode", spec, g, lambda: decode(g, encode(cert)))
         cert = read("robust_stable_set", spec, g, lambda: robust_stable_set(g, 0))
         read("decode", spec, g, lambda: decode(g, encode(cert)))
+    for name, h, cert in hole_certificates():
+        g = CountingGraph(h)
+        read("decode", name, g, lambda: decode(g, encode(cert)))
     report(
         "every pipeline reads O(n + m) adjacency entries",
         all(worst[key][0] <= c for key, c in ADJACENCY_BOUNDS.items()),

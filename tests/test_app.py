@@ -262,6 +262,16 @@ def test_cli_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", big, "--what", "chromatic")
     assert code == 2 and "limited to" in err
 
+    # every command reads DIMACS only: an edge list is malformed input,
+    # and there is no option to choose a format
+    edges = tmp_path / "edges.txt"
+    edges.write_text("3\n0 1\n1 2\n")
+    assert run(capsys, "solve", str(edges)) == (2, "", "error: line 1: unrecognized line '3'\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--format", "dimacs", path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
     with pytest.raises(SystemExit):
         main(["solve", "--no-such-flag"])
 
@@ -442,7 +452,7 @@ def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypat
     Also when the read is split and one half runs out first: the serial
     read that follows runs out too, and reports it.
     """
-    def huge(fh, fmt, keep=None):
+    def huge(fh, keep=None):
         raise MemoryError
 
     monkeypatch.setattr("meyniel.app.parse_stream", huge)
@@ -451,10 +461,10 @@ def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypat
     cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
     parent, parse_lists = os.getpid(), graph._parse
     for half in (None, "parent", "child"):
-        def out_of_memory_in_half(pieces, fmt, keep=None):
+        def out_of_memory_in_half(pieces, keep=None):
             if (os.getpid() == parent) == (half == "parent"):
                 raise MemoryError
-            return parse_lists(pieces, fmt, keep)
+            return parse_lists(pieces, keep)
 
         monkeypatch.setattr(graph, "_parse", parse_lists if half is None else out_of_memory_in_half)
         for args in (["solve", path], ["verify", path, str(cert)], ["oracle", path, "--what", "omega"]):

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,33 @@ class TestVerifyObstruction:
         g = self.chorded(*at)
         ob = MeynielObstruction(cycle=self.CYCLE, chord=declared)
         assert obstruction_verdict(g, ob).reason == f"undeclared chord {named}"
+
+    # A permuted C_2001 with two chords, each a pair of cycle positions.
+    # The positions in `high` get the largest labels and those in `low`
+    # the smallest, so the pair that comes first in (i, j) order has the
+    # larger labels: neighbor tuples ascend by label, and the reason must
+    # still follow cycle positions
+    @staticmethod
+    def long_cycle(chords, high, low):
+        lab = random.Random(2001).sample(range(2001), 2001)
+        for x, i in chain(zip(range(2000, -1, -1), high), zip(range(2001), low)):
+            j = lab.index(x)
+            lab[i], lab[j] = lab[j], lab[i]
+        es = [(lab[i], lab[i - 1]) for i in range(2001)] + [(lab[i], lab[j]) for i, j in chords]
+        return build(2001, es), tuple(lab)
+
+    @pytest.mark.parametrize("other, high, low", [
+        ((700, 712), (10, 1500), (700, 712)),  # after (10, 1500): the least i decides
+        ((10, 1500), (10, 20), (1500,)),  # after (10, 20): then the least j
+    ], ids=["least i", "least j"])
+    def test_first_undeclared_chord_on_a_long_cycle(self, other, high, low):
+        g, cyc = self.long_cycle([high, other], high, low)
+        assert obstruction_verdict(g, MeynielObstruction(cycle=cyc)).reason == "undeclared chord 1999-2000"
+
+    def test_undeclared_chord_before_an_absent_declared_one_on_a_long_cycle(self):
+        g, cyc = self.long_cycle([(700, 712)], (10, 1500), (700, 712))
+        ob = MeynielObstruction(cycle=cyc, chord=(cyc[10], cyc[1500]))
+        assert obstruction_verdict(g, ob).reason == "undeclared chord 0-1"
 
 
 def test_encode_is_canonical():

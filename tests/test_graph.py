@@ -96,25 +96,24 @@ def test_parse_dimacs_errors_carry_line_numbers():
         parse("p edge 2 1\ne 1 1\n")
 
 
+# Tests whose ids name the input format take it as a one-value "fmt"
+# parameter: DIMACS is the only format the readers take
+DIMACS = pytest.mark.parametrize("fmt", ["dimacs"])
+
+
 @pytest.mark.parametrize("count", [sys.maxsize + 1, 99999999999999999999999])
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 def test_vertex_count_no_list_can_hold_is_a_parse_error(fmt, count):
-    header = f"p edge {count} 1" if fmt == "dimacs" else str(count)
-    text = f"\n{header}\n" + ("e 1 2\n" if fmt == "dimacs" else "0 1\n")
+    text = f"\np edge {count} 1\ne 1 2\n"
     # the keep read first: without the check it fails at once, where a
     # full read allocates until the process is killed
-    for read in (lambda: parse_stream(io.StringIO(text), fmt, keep={0}),
-                 lambda: parse_stream(io.StringIO(text), fmt),
-                 lambda: parse(text, fmt)):
+    for read in (lambda: parse_stream(io.StringIO(text), keep={0}),
+                 lambda: parse_stream(io.StringIO(text)),
+                 lambda: parse(text)):
         with pytest.raises(GraphParseError) as exc:
             read()
         assert exc.value.line == 2
         assert str(exc.value) == f"line 2: vertex count {count} exceeds {sys.maxsize}"
-
-
-def test_parse_edgelist():
-    g = parse("3\n0 1\n\n1 2\n", fmt="edgelist")
-    assert edge_list(g) == [(0, 1), (1, 2)]
 
 
 @given(graphs(max_n=10))
@@ -197,32 +196,31 @@ SLICES = (1, 2, 7, 64, graph._SLICE)
 FAULTS = ("none", "arity", "bad int", "range", "loop", "junk", "header", "twice", "missing", "late", "empty")
 
 
-def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str, plain: bool = False) -> str:
-    """A graph text: well formed, then with `fault` injected.
+def graph_text(rng: random.Random, n: int, fault: str, newline: str, plain: bool = False) -> str:
+    """A DIMACS text: well formed, then with `fault` injected.
 
-    Well-formed texts carry comments (dimacs), blank lines, duplicate and
+    Well-formed texts carry comments, blank lines, duplicate and
     reversed edges, `+3` and `03` ints, and random spacing with tabs.  A
     `plain` text has only canonical edge lines after the header (single
     spaces, no padding, no `+3` or `03`, "\n" ends), so every piece the
     fault does not touch is taken in bulk, and a canonical fault such as
     an out-of-range token or a self-loop is met by the bulk checks.
     """
-    base = 1 if fmt == "dimacs" else 0
-    tag = ["e"] if fmt == "dimacs" else []
+    tag = ["e"]
     if plain:
         newline = "\n"
 
     def num(k):
         return str(k) if plain else rng.choice([str(k)] * 3 + [f"+{k}", f"0{k}"])
 
-    header = ["p", "edge", str(n), num(rng.randint(0, 9))] if fmt == "dimacs" else [str(n)]
+    header = ["p", "edge", str(n), num(rng.randint(0, 9))]
     lines = [header]
     for _ in range(rng.randint(0, 60)):
         kind = "edge" if plain else rng.choice(["edge"] * 6 + ["blank", "comment"])
         if kind == "edge" and n >= 2:
-            u, v = rng.sample(range(base, n + base), 2)
+            u, v = rng.sample(range(1, n + 1), 2)
             lines.append(tag + [num(u), num(v)])
-        elif kind == "comment" and fmt == "dimacs":
+        elif kind == "comment":
             lines.append(rng.choice([["c"], ["c", "e", "1", "1"], ["comment"], ["cx", "1"]]))
         elif not plain:
             lines.append([])
@@ -232,16 +230,15 @@ def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str, p
     elif fault == "bad int":
         lines.insert(at, tag + rng.sample(["1", rng.choice(["x", "1.5", "--1", "0x1"])], 2))
     elif fault == "range":
-        k = rng.choice([base - 1, n + base, n + base + 1])
-        lines.insert(at, tag + rng.sample([str(k), rng.choice([str(base), str(k)])], 2))
+        k = rng.choice([0, n + 1, n + 2])
+        lines.insert(at, tag + rng.sample([str(k), rng.choice(["1", str(k)])], 2))
     elif fault == "loop":
-        lines.insert(at, tag + [str(base)] * 2)
+        lines.insert(at, tag + ["1"] * 2)
     elif fault == "junk":
         lines.insert(at, rng.choice([["x", "1", "2"], ["E", "1", "2"], ["p"]]))
     elif fault == "header":
-        bad = [["p", "edge", "x", "0"], ["p", "edge", "3", "y"], ["p", "col", str(n), "0"],
-               ["p", "edge", str(n)], ["p", "edge", "-2", "0"]]
-        lines[0] = rng.choice(bad if fmt == "dimacs" else [["-2"], ["x"], [str(n), "4"]])
+        lines[0] = rng.choice([["p", "edge", "x", "0"], ["p", "edge", "3", "y"], ["p", "col", str(n), "0"],
+                               ["p", "edge", str(n)], ["p", "edge", "-2", "0"]])
     elif fault == "twice":
         lines.insert(at, header)
     elif fault == "missing":
@@ -255,17 +252,17 @@ def graph_text(rng: random.Random, fmt: str, n: int, fault: str, newline: str, p
     return "".join(rng.choice(space) + sep.join(t) + rng.choice(space) + newline for t in lines)
 
 
-def parse_outcome(parser, source, fmt):
+def parse_outcome(parser, source):
     """The graph `parser` returns, or the type, line and message of its GraphInputError."""
     try:
-        return parser(source, fmt)
+        return parser(source)
     except GraphInputError as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-def keep_outcome(text: str, fmt: str, keep) -> tuple:
+def keep_outcome(text: str, keep) -> tuple:
     """`parse_stream` with `keep`: n and every vertex's tuple, or its error."""
-    got = parse_outcome(lambda src, f: parse_stream(src, f, keep=keep), io.StringIO(text), fmt)
+    got = parse_outcome(lambda src: parse_stream(src, keep=keep), io.StringIO(text))
     if isinstance(got, graph.Graph):
         return got.n, tuple(got.neighbors(v) for v in range(got.n))
     return got
@@ -278,30 +275,30 @@ def kept_view(full, keep) -> tuple:
     return full
 
 
-def _check_against_reference(text: str, fmt: str, keeps=(), slices=SLICES) -> None:
+def _check_against_reference(text: str, keeps=(), slices=SLICES) -> None:
     # at every slice size, parse_stream reads the same text block by block
     # and gives the same graph or the same error; with a keep set it gives
     # the same error, or the full parse's tuples for the kept vertices only
-    want = parse_outcome(parse, text, fmt)
+    want = parse_outcome(parse, text)
     saved = graph._SLICE
     try:
         for size in slices:
             graph._SLICE = size
-            assert parse_outcome(parse, text, fmt) == want, size
-            assert parse_outcome(parse_stream, io.StringIO(text), fmt) == want, size
+            assert parse_outcome(parse, text) == want, size
+            assert parse_outcome(parse_stream, io.StringIO(text)) == want, size
             for keep in keeps:
-                assert keep_outcome(text, fmt, keep) == kept_view(want, keep), (size, keep)
+                assert keep_outcome(text, keep) == kept_view(want, keep), (size, keep)
     finally:
         graph._SLICE = saved
     try:
-        want = reference_parse(text, fmt)
+        want = reference_parse(text)
     except GraphInputError as exc:
         with pytest.raises(GraphInputError) as got:
-            parse(text, fmt)
+            parse(text)
         assert type(got.value) is type(exc)
         assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         return
-    g = parse(text, fmt)
+    g = parse(text)
     assert (g.n, edge_list(g)) == want
     for u in range(g.n):
         nbrs = set(g.neighbors(u))
@@ -310,7 +307,6 @@ def _check_against_reference(text: str, fmt: str, keeps=(), slices=SLICES) -> No
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    st.sampled_from(["dimacs", "edgelist"]),
     st.integers(0, 50),
     st.sampled_from(("none",) * 3 + FAULTS),
     st.sampled_from(["\n", "\r\n", "\r", "\v", "\x1c", " "]),
@@ -318,13 +314,13 @@ def _check_against_reference(text: str, fmt: str, keeps=(), slices=SLICES) -> No
     st.lists(st.sets(st.integers(0, 55), max_size=8), min_size=1, max_size=3),
     st.randoms(use_true_random=True),
 )
-def test_parse_matches_reference(fmt, n, fault, newline, plain, keeps, rng):
-    text = graph_text(rng, fmt, n, fault, newline, plain)
-    _check_against_reference(text, fmt, [set()] + keeps)
+def test_parse_matches_reference(n, fault, newline, plain, keeps, rng):
+    text = graph_text(rng, n, fault, newline, plain)
+    _check_against_reference(text, [set()] + keeps)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 def test_read_graph_matches_parse_of_whole_file(tmp_path, fmt, newline):
     """A file streamed by the CLI's reader, split in two or not, parses as its whole decoded text does."""
     for split in (False, True):
@@ -334,12 +330,12 @@ def test_read_graph_matches_parse_of_whole_file(tmp_path, fmt, newline):
         try:
             for k in range(100):
                 fault = FAULTS[k % len(FAULTS)] if k % 2 else "none"
-                path.write_bytes(graph_text(rng, fmt, rng.randint(0, 50), fault, newline).encode())
+                path.write_bytes(graph_text(rng, rng.randint(0, 50), fault, newline).encode())
                 graph._SLICE = SLICES[k % len(SLICES)]
                 with open(path, encoding="utf-8") as fh:
-                    want = parse_outcome(parse, fh.read(), fmt)
+                    want = parse_outcome(parse, fh.read())
                 with split_reads(split):
-                    assert parse_outcome(_read_graph, str(path), fmt) == want, split
+                    assert parse_outcome(_read_graph, str(path)) == want, split
         finally:
             graph._SLICE = saved
 
@@ -351,7 +347,7 @@ def test_read_graph_never_holds_the_file(tmp_path):
     size = path.stat().st_size
     tracemalloc.start()
     try:
-        g = _read_graph(str(path), "dimacs")
+        g = _read_graph(str(path))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,14 +362,14 @@ def test_read_graph_with_keep_holds_a_fraction_of_the_graph(tmp_path):
         assert main(["gen", "--family", "gnp", "--n", "1000", "--p", "0.5", "--seed", "1"]) == 0
     tracemalloc.start()
     try:
-        g = _read_graph(str(path), "dimacs")
+        g = _read_graph(str(path))
         full, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     keep = {0, 1, 2, 500, 999}
     tracemalloc.start()
     try:
-        h = _read_graph(str(path), "dimacs", keep)
+        h = _read_graph(str(path), keep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,14 +378,14 @@ def test_read_graph_with_keep_holds_a_fraction_of_the_graph(tmp_path):
     assert peak < full / 4, (peak, full)
 
 
-def read_outcome(path, fmt: str, keep=None, split: bool = True) -> tuple:
+def read_outcome(path, keep=None, split: bool = True) -> tuple:
     """`_read_graph` with the split forced on or off: n, m and every tuple, or the error's type and message.
 
     Only the GraphInputError family is caught; anything else fails the test.
     """
     with split_reads(split):
         try:
-            g = _read_graph(str(path), fmt, keep)
+            g = _read_graph(str(path), keep)
         except GraphInputError as exc:
             return type(exc), str(exc)
     return g.n, g.m, tuple(map(g.neighbors, range(g.n)))
@@ -412,19 +408,18 @@ def counted_serial_reads():
         app.parse_stream = saved
 
 
-# Lines for the fuzzed files: both formats' tokens, the newlines that
+# Lines for the fuzzed files: DIMACS tokens, the newlines that
 # `splitlines` knows, and two non-ASCII characters
 FUZZ_TOKENS = ["e", "p", "edge", "c", "0", "1", "2", "5", "6", "7", "-1", "+2", "01", "99",
                " ", "\t", "\n", "\n", "\n", "\r", "\r\n", "\v", "é", "\x85"]
-FUZZ_HEADS = {"dimacs": ["p edge 6 4\n", "p edge 6 4\r\n", "c x\np edge 6 4\n", "p edge 6\n", ""],
-              "edgelist": ["6\n", "6\r\n", "6 1\n", ""]}
+FUZZ_HEADS = ["p edge 6 4\n", "p edge 6 4\r\n", "c x\np edge 6 4\n", "p edge 6\n", ""]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["dimacs", "edgelist"]), st.data())
-def test_split_read_matches_serial_read(tmp_path_factory, fmt, data):
+@given(st.data())
+def test_split_read_matches_serial_read(tmp_path_factory, data):
     """Every file, text or not, read with the split forced on, gives what the serial read gives."""
-    head = data.draw(st.sampled_from(FUZZ_HEADS[fmt]) | st.text(max_size=12), "head")
+    head = data.draw(st.sampled_from(FUZZ_HEADS) | st.text(max_size=12), "head")
     body = data.draw(st.one_of(
         st.lists(st.sampled_from(FUZZ_TOKENS), max_size=80).map("".join).map(str.encode),
         st.text(max_size=60).map(str.encode),
@@ -437,9 +432,9 @@ def test_split_read_matches_serial_read(tmp_path_factory, fmt, data):
     saved = graph._SLICE
     graph._SLICE = size
     try:
-        want = read_outcome(path, fmt, keep, split=False)
+        want = read_outcome(path, keep, split=False)
         with counted_forks() as forks, counted_serial_reads() as serial:
-            assert read_outcome(path, fmt, keep) == want
+            assert read_outcome(path, keep) == want
     finally:
         graph._SLICE = saved
     # a valid file that was split needs no serial read
@@ -456,31 +451,29 @@ HEAD = b"p edge 40 60\n"
 HALF = edge_lines(0, 30)
 WHOLE = HEAD + HALF + edge_lines(30, 30)  # the cut falls inside the second 30 lines
 SPLIT_CASES = {
-    # name: (file bytes, format, keep, is the read split?); a fault in the
+    # name: (file bytes, keep, is the read split?); a fault in the
     # first half comes right after the header, one in the second at the end
-    "plain": (WHOLE, "dimacs", None, True),
-    "plain kept": (WHOLE, "dimacs", {0, 5, 27, 39}, True),
-    "kept out of range": (WHOLE, "dimacs", {-1, 3, 40, 99}, True),
-    "comment before the header": (b"c first\n" + WHOLE, "dimacs", None, False),
-    "more vertices than bytes": (b"p edge 5000 60\n" + WHOLE[len(HEAD):], "dimacs", None, False),
-    "duplicate header in the second half": (WHOLE + HEAD, "dimacs", None, True),
-    "bad UTF-8 in the first half": (HEAD + b"e 1 2\xff\n" + HALF + HALF, "dimacs", None, True),
-    "bad UTF-8 in the second half": (WHOLE + b"e 1 2\xc3\n", "dimacs", None, True),
-    "bad UTF-8 in both halves": (HEAD + b"e \xe2\x82\n" + HALF + HALF + b"c \xff\n", "dimacs", None, True),
+    "plain": (WHOLE, None, True),
+    "plain kept": (WHOLE, {0, 5, 27, 39}, True),
+    "kept out of range": (WHOLE, {-1, 3, 40, 99}, True),
+    "comment before the header": (b"c first\n" + WHOLE, None, False),
+    "more vertices than bytes": (b"p edge 5000 60\n" + WHOLE[len(HEAD):], None, False),
+    "duplicate header in the second half": (WHOLE + HEAD, None, True),
+    "bad UTF-8 in the first half": (HEAD + b"e 1 2\xff\n" + HALF + HALF, None, True),
+    "bad UTF-8 in the second half": (WHOLE + b"e 1 2\xc3\n", None, True),
+    "bad UTF-8 in both halves": (HEAD + b"e \xe2\x82\n" + HALF + HALF + b"c \xff\n", None, True),
     # a comment would parse in either half: only the decoding can refuse it
-    "bad UTF-8 in a comment in the first half": (HEAD + b"c caf\xe9\n" + HALF + HALF, "dimacs", None, True),
-    "bad UTF-8 in a comment in the second half": (WHOLE + b"c caf\xe9\n", "dimacs", {3}, True),
-    "errors in both halves": (HEAD + b"e 1 41\n" + HALF + HALF + b"e 3 3\n", "dimacs", None, True),
-    "error in the second half": (WHOLE + b"e 3 3\n", "dimacs", {2}, True),
-    "no newline past the middle": (HEAD + b"e 1 2\n" + b"c" * 2000, "dimacs", None, False),
+    "bad UTF-8 in a comment in the first half": (HEAD + b"c caf\xe9\n" + HALF + HALF, None, True),
+    "bad UTF-8 in a comment in the second half": (WHOLE + b"c caf\xe9\n", {3}, True),
+    "errors in both halves": (HEAD + b"e 1 41\n" + HALF + HALF + b"e 3 3\n", None, True),
+    "error in the second half": (WHOLE + b"e 3 3\n", {2}, True),
+    "no newline past the middle": (HEAD + b"e 1 2\n" + b"c" * 2000, None, False),
     # the cut falls after HALF's last line, so the child's half is one line without "\n"
-    "second half with no newline": (HEAD + HALF + b"e 1 40".ljust(len(HEAD + HALF) - 4), "dimacs", None, True),
-    "newlines all CR": (WHOLE.replace(b"\n", b"\r"), "dimacs", None, False),
-    "newlines CR LF": (WHOLE.replace(b"\n", b"\r\n"), "dimacs", None, True),
+    "second half with no newline": (HEAD + HALF + b"e 1 40".ljust(len(HEAD + HALF) - 4), None, True),
+    "newlines all CR": (WHOLE.replace(b"\n", b"\r"), None, False),
+    "newlines CR LF": (WHOLE.replace(b"\n", b"\r\n"), None, True),
     # both halves get the edges before the first "\n", and `_freeze` collapses them
-    "CR before the first LF": (HEAD.replace(b"\n", b"\re 1 40\r") + HALF + HALF + b"e 2 40\n", "dimacs", None, True),
-    "edge list": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), "edgelist", None, True),
-    "edge list kept": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), "edgelist", {0, 40, 41}, True),
+    "CR before the first LF": (HEAD.replace(b"\n", b"\re 1 40\r") + HALF + HALF + b"e 2 40\n", None, True),
 }
 
 
@@ -491,16 +484,16 @@ def test_split_read_cases(tmp_path, case):
     A split read of a valid file needs no serial read; an invalid one is
     read again serially, which reports the error.
     """
-    data, fmt, keep, split = SPLIT_CASES[case]
+    data, keep, split = SPLIT_CASES[case]
     path = tmp_path / "g.txt"
     path.write_bytes(data)
-    want = read_outcome(path, fmt, keep, split=False)
+    want = read_outcome(path, keep, split=False)
     with counted_forks() as forks, counted_serial_reads() as serial:
-        assert read_outcome(path, fmt, keep) == want
+        assert read_outcome(path, keep) == want
     assert len(forks) == split
     assert len(serial) == (not split or not isinstance(want[0], int))
     known = {  # m of a graph, or the message of an error: the first in file order
-        "plain": 60, "newlines CR LF": 60, "edge list": 60, "second half with no newline": 31,
+        "plain": 60, "newlines CR LF": 60, "second half with no newline": 31,
         "CR before the first LF": 32,
         "errors in both halves": "line 2: endpoint out of range in 'e 1 41'",
     }
@@ -518,10 +511,10 @@ def child_fault(monkeypatch, fault):
             os.kill(os.getpid(), signal.SIGKILL)
         os._exit(0 if fault == "exits 0" else 1)
 
-    def faulty(pieces, fmt, keep=None):
+    def faulty(pieces, keep=None):
         if os.getpid() != parent:
             pieces = pieces_then_fault(iter(pieces))
-        return parse_lists(pieces, fmt, keep)
+        return parse_lists(pieces, keep)
 
     monkeypatch.setattr(graph, "_parse", faulty)
 
@@ -529,10 +522,10 @@ def child_fault(monkeypatch, fault):
 @pytest.mark.parametrize("fault", ["killed", "exits 0", "exits 1", "sends nothing", "fails after sending"])
 def test_split_read_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
     """A child that dies, ends without its records or exits nonzero is reaped and the serial read runs."""
-    data, fmt, keep, _ = SPLIT_CASES["plain"]
+    data, keep, _ = SPLIT_CASES["plain"]
     path = tmp_path / "g.txt"
     path.write_bytes(data)
-    want = read_outcome(path, fmt, keep, split=False)
+    want = read_outcome(path, keep, split=False)
     send = graph._send
 
     def send_then_fail(out, adj):
@@ -546,18 +539,18 @@ def test_split_read_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault
     else:
         child_fault(monkeypatch, fault)
     with counted_forks() as forks, counted_serial_reads() as serial:
-        assert read_outcome(path, fmt, keep) == want
+        assert read_outcome(path, keep) == want
     assert len(forks) == 1 and serial == [1]
 
 
 def test_split_read_kills_the_child_on_keyboard_interrupt(tmp_path, monkeypatch):
     """An interrupt in the parent's half kills and reaps the child, then propagates."""
-    data, fmt, keep, _ = SPLIT_CASES["plain"]
+    data, keep, _ = SPLIT_CASES["plain"]
     path = tmp_path / "g.txt"
     path.write_bytes(data)
     parent = os.getpid()
 
-    def interrupted(pieces, fmt, keep=None):
+    def interrupted(pieces, keep=None):
         if os.getpid() != parent:
             time.sleep(60)
         raise KeyboardInterrupt
@@ -565,7 +558,7 @@ def test_split_read_kills_the_child_on_keyboard_interrupt(tmp_path, monkeypatch)
     monkeypatch.setattr(graph, "_parse", interrupted)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        read_outcome(path, fmt, keep)
+        read_outcome(path, keep)
     assert time.perf_counter() - t0 < 30
 
 
@@ -578,7 +571,7 @@ BULK_FAULTS = {
 }
 
 
-def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
+def plain_pieces_text(fault: str, spy: list) -> tuple[str, int, int]:
     """A text of 400 canonical edge lines, n = 998, with `fault` injected.
 
     Returns the text, the fault's line number, and the index among the
@@ -587,11 +580,10 @@ def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
     where the clean text has them; `spy` holds (piece, taken) of each
     call, and the clean text's calls are cleared.
     """
-    rng = random.Random(fmt + fault)
-    tag = "e " if fmt == "dimacs" else ""
-    lines = ["p edge 998 400" if fmt == "dimacs" else "998"]
-    lines += [f"{tag}{u} {v}" for u, v in (rng.sample(range(100, 998), 2) for _ in range(400))]
-    parse_stream(io.StringIO("\n".join(lines) + "\n"), fmt)
+    rng = random.Random("dimacs" + fault)
+    lines = ["p edge 998 400"]
+    lines += [f"e {u} {v}" for u, v in (rng.sample(range(100, 998), 2) for _ in range(400))]
+    parse_stream(io.StringIO("\n".join(lines) + "\n"))
     taken = [k for k, (_, ok) in enumerate(spy) if ok]
     assert len(taken) > 10
     counts = [piece.count("\n") for piece, _ in spy]
@@ -602,22 +594,22 @@ def plain_pieces_text(fmt: str, fault: str, spy: list) -> tuple[str, int, int]:
     if fault == "newline":
         return "\n".join(lines), len(lines), -1
     if fault == "comment":
-        lines[at - 1] = "c 1234567" if fmt == "dimacs" else " " * len(lines[at - 1])
+        lines[at - 1] = "c 1234567"
     else:
-        lines[at - 1] = tag + BULK_FAULTS[fault]
+        lines[at - 1] = "e " + BULK_FAULTS[fault]
     return "\n".join(lines) + "\n", at, k
 
 
-def reference_outcome(text: str, fmt: str, keep) -> tuple:
+def reference_outcome(text: str, keep) -> tuple:
     """What `keep_outcome` must give, by the reference parser, which has no bulk route."""
     try:
-        n, edges = reference_parse(text, fmt)
+        n, edges = reference_parse(text)
     except GraphInputError as exc:
         return type(exc), exc.line, str(exc)
     return kept_view(build(n, edges), range(n) if keep is None else keep)
 
 
-def check_plain_pieces_in_bulk(monkeypatch, fmt: str, fault: str, keep) -> None:
+def check_plain_pieces_in_bulk(monkeypatch, fault: str, keep) -> None:
     """Plain pieces are taken in bulk; the faulty one falls back to the line loop."""
     spy = []
     bulk = graph._plain_edges
@@ -628,9 +620,9 @@ def check_plain_pieces_in_bulk(monkeypatch, fmt: str, fault: str, keep) -> None:
 
     monkeypatch.setattr(graph, "_plain_edges", spied)
     monkeypatch.setattr(graph, "_SLICE", 100)  # blocks of 100 characters
-    text, at, k = plain_pieces_text(fmt, fault, spy)
-    want = reference_outcome(text, fmt, keep)
-    assert keep_outcome(text, fmt, keep) == want
+    text, at, k = plain_pieces_text(fault, spy)
+    want = reference_outcome(text, keep)
+    assert keep_outcome(text, keep) == want
     taken = [ok for _, ok in spy]
     k %= len(taken)
     assert any(taken[:k]) and not taken[k]
@@ -642,17 +634,16 @@ def check_plain_pieces_in_bulk(monkeypatch, fmt: str, fault: str, keep) -> None:
 
 
 @pytest.mark.parametrize("fault", BULK_FAULTS)
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
-    base = 1 if fmt == "dimacs" else 0
-    keep = {v - base for v in (12, 45, 123, 456, 997)} | {5, 700}
-    check_plain_pieces_in_bulk(monkeypatch, fmt, fault, keep)
+    keep = {v - 1 for v in (12, 45, 123, 456, 997)} | {5, 700}
+    check_plain_pieces_in_bulk(monkeypatch, fault, keep)
 
 
 @pytest.mark.parametrize("fault", BULK_FAULTS)
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 def test_full_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
-    check_plain_pieces_in_bulk(monkeypatch, fmt, fault, None)
+    check_plain_pieces_in_bulk(monkeypatch, fault, None)
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():
@@ -673,44 +664,38 @@ def test_parse_stream_joins_one_long_line_in_linear_time():
     assert exc.value.line == text_exc.value.line == 1
 
 
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 @pytest.mark.parametrize("fault", ["none", "bad int", "range", "loop", "arity", "twice"])
 def test_parse_across_many_slices_matches_reference(fmt, fault):
     # about 30,000 edge lines span several default slices; the fault sits
     # near the end, so its line number counts lines over every cut
     rng = random.Random(fmt + fault)
-    n, base = 500, (1 if fmt == "dimacs" else 0)
-    tag = "e " if fmt == "dimacs" else ""
-    lines = ["p edge 500 30000" if fmt == "dimacs" else "500"]
+    n = 500
+    lines = ["p edge 500 30000"]
     for _ in range(30000):
-        u, v = rng.sample(range(base, n + base), 2)
-        lines.append(f"{tag}{u} {v}" + rng.choice(["", " ", "\t"]))
+        u, v = rng.sample(range(1, n + 1), 2)
+        lines.append(f"e {u} {v}" + rng.choice(["", " ", "\t"]))
         if rng.random() < 0.02:
-            lines.append(rng.choice(["", "  ", "c note"] if fmt == "dimacs" else ["", "  "]))
+            lines.append(rng.choice(["", "  ", "c note"]))
     bad = {
         "none": None,
-        "bad int": f"{tag}1 x2",
-        "range": f"{tag}{base} {n + base}",
-        "loop": f"{tag}7 7",
-        "arity": f"{tag}1 2 3",
+        "bad int": "e 1 x2",
+        "range": f"e 1 {n + 1}",
+        "loop": "e 7 7",
+        "arity": "e 1 2 3",
         "twice": lines[0],
     }[fault]
     if bad is not None:
         lines.insert(len(lines) - 25, bad)
     text = "\n".join(lines) + "\n"
     assert len(text) > 2 * graph._SLICE
-    _check_against_reference(text, fmt, [set(), {0, 6, 7, n - 1}], slices=(64, graph._SLICE))
+    _check_against_reference(text, [set(), {0, 6, 7, n - 1}], slices=(64, graph._SLICE))
 
 
-def _edgelist(g) -> str:
-    return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in edge_list(g))
-
-
-@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+@DIMACS
 def test_parse_shares_one_int_per_vertex(fmt):
     src = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
-    text = to_dimacs(src) if fmt == "dimacs" else _edgelist(src)
-    g = parse(text, fmt)
+    g = parse(to_dimacs(src))
     assert g == src
     assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
 

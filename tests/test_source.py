@@ -11,7 +11,7 @@ import re
 import pytest
 
 import meyniel
-from meyniel.graph import Graph, _plain_patterns
+from meyniel.graph import _BREAK, _PLAIN, Graph
 
 PACKAGE = pathlib.Path(meyniel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -134,6 +134,5 @@ def test_plain_patterns_compile_on_the_lowest_declared_python():
     """Possessive quantifiers and atomic groups came to `re` in 3.11; before, they fail to compile."""
     if lowest_python() >= (3, 11):
         pytest.skip("the declared Python has the 3.11 regex syntax")
-    for dimacs in (True, False):
-        for pattern in _plain_patterns(dimacs):
-            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
+    for pattern in (_PLAIN, _BREAK):
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
