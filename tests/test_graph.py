@@ -116,6 +116,15 @@ def test_vertex_count_no_list_can_hold_is_a_parse_error(fmt, count):
         assert str(exc.value) == f"line 2: vertex count {count} exceeds {sys.maxsize}"
 
 
+def test_parse_edgelist():
+    # the edge-list grammar is gone: its vertex-count line is no DIMACS line
+    text = "3\n0 1\n\n1 2\n"
+    for read in (lambda: parse(text), lambda: parse_stream(io.StringIO(text))):
+        with pytest.raises(GraphParseError) as exc:
+            read()
+        assert (exc.value.line, str(exc.value)) == (1, "line 1: unrecognized line '3'")
+
+
 @given(graphs(max_n=10))
 def test_dimacs_roundtrip_property(g):
     assert parse(to_dimacs(g)) == g
@@ -474,6 +483,9 @@ SPLIT_CASES = {
     "newlines CR LF": (WHOLE.replace(b"\n", b"\r\n"), None, True),
     # both halves get the edges before the first "\n", and `_freeze` collapses them
     "CR before the first LF": (HEAD.replace(b"\n", b"\re 1 40\r") + HALF + HALF + b"e 2 40\n", None, True),
+    # an edge list's line 1 is no header: the serial read reports it
+    "edge list": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), None, False),
+    "edge list kept": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), {0, 40, 41}, False),
 }
 
 
@@ -496,6 +508,7 @@ def test_split_read_cases(tmp_path, case):
         "plain": 60, "newlines CR LF": 60, "second half with no newline": 31,
         "CR before the first LF": 32,
         "errors in both halves": "line 2: endpoint out of range in 'e 1 41'",
+        "edge list": "line 1: unrecognized line '41'", "edge list kept": "line 1: unrecognized line '41'",
     }
     if case in known:
         assert want[1] == known[case]
