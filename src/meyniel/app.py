@@ -165,19 +165,19 @@ def _verify(path: str, cert_path: str) -> int:
     """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
 
     The certificate is loaded first, so that an obstruction's graph keeps
-    only the cycle's adjacency.  An error reading or loading it waits
-    until the graph has been read, so a graph error still comes first.
+    only the cycle's adjacency, and `decode` verifies the loaded one.  An
+    error reading or loading it waits until the graph has been read, so
+    a graph error still comes first.
     """
     try:
         with open(cert_path, "rb") as fh:
-            data = fh.read()
-        cert = load(data)
+            cert = load(fh.read())
     except (OSError, CertificateFormatError):
         _read_graph(path, keep=())
         raise
     g = _read_graph(path, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
     try:
-        cert = decode(g, data)
+        cert = decode(g, cert)
     except CertificateInvalidError as exc:
         print(f"INVALID: {exc}")
         return 1

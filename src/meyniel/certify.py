@@ -280,14 +280,16 @@ def load(data: bytes | str) -> Certificate:
     raise CertificateFormatError(f"unknown certificate kind {kind!r}")
 
 
-def decode(g: Graph, data: bytes | str) -> Certificate:
+def decode(g: Graph, data: bytes | str | Certificate) -> Certificate:
     """`load` a certificate document and fully re-verify it against g.
 
-    Raises CertificateFormatError for malformed documents and
-    CertificateInvalidError when verification against the graph fails.
-    Returns the same certificate object the solver would have produced.
+    `data` may also be a certificate that `load` returned, which is not
+    parsed again.  Raises CertificateFormatError for malformed documents
+    and CertificateInvalidError when verification against the graph
+    fails.  Returns the same certificate object the solver would have
+    produced.
     """
-    cert = load(data)
+    cert = data if isinstance(data, Certificate) else load(data)
     if isinstance(cert, OptimalPair):
         verdict = verify_optimal_pair(g, cert.coloring, cert.clique)
     elif isinstance(cert, MeynielObstruction):

@@ -31,8 +31,9 @@ keeping the cycle.  The pieces, their checks and errors are the same.
 the header, it cuts the file just after the first "\n" at or past its
 middle byte and forks one child.  The parent runs the parse loop over
 the first half, and the child over the header line followed by the
-second half.  The child sends the neighbor lists it stored back through
-a pipe, and the parent adds them to its own before building the graph.
+second half.  Through a pipe the child sends the length of each
+vertex's neighbor list, then the lists; the parent adds them to its own
+before building the graph.
 A cut after "\n" is a line boundary, and no UTF-8 sequence contains a
 "\n" byte, so each line lands whole in one half.  Should anything fail,
 `parse_split` returns None, and the caller's serial `parse_stream`
@@ -53,7 +54,7 @@ from bisect import bisect_left
 from codecs import getincrementaldecoder
 from collections import deque
 from functools import partial
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress, filterfalse
 from operator import eq
 
 
@@ -217,9 +218,6 @@ def _cut(blocks):
 # gains and one of a sparse graph breaks even (measured in the README).
 _SPLIT = 1 << 20
 
-# The child sends its lists in writes of this many array("I") values (64 KiB)
-_SEND = 1 << 14
-
 
 def parse_split(fh, keep=None) -> Graph | None:
     """`parse_stream(fh, keep)` of a large file, parsed by two processes; or None.
@@ -234,7 +232,7 @@ def parse_split(fh, keep=None) -> Graph | None:
     child parses the header line followed by the rest.
 
     Returns None in every other case, and whenever either half raises,
-    the child dies or its records end short: the caller then reads `fh`
+    the child dies or its lists end short: the caller then reads `fh`
     with `parse_stream`, which reports any error of the input.  Both
     halves read by position, so `fh` is still at its start.  The child is
     reaped before this returns, and killed first unless it exited on its
@@ -247,9 +245,8 @@ def parse_split(fh, keep=None) -> Graph | None:
         if not (stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT
                 and hasattr(os, "fork") and _cpus() > 1):
             return None
-        head = _header(fd, info.st_size)
-        mid = head and _middle(fd, info.st_size)
-        return _parse_halves(fd, head, mid, keep) if mid else None
+        cut = _probe(fd, info.st_size)
+        return _parse_halves(fd, *cut, keep) if cut else None
     except Exception:  # reported, if it is the input's, by the serial read
         return None
 
@@ -260,31 +257,31 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _header(fd: int, size: int) -> str | None:
-    """The text up to the first "\n" if line 1 is a header of at most `size` vertices.
+def _probe(fd: int, size: int) -> tuple[str, int] | None:
+    """(head, mid) if the file may be split, else None; raises if line 1 is malformed.
 
-    Raises if line 1 is malformed.  Any further line before that "\n"
-    (after a "\r", say) is parsed by both halves, and its edges are
-    stored twice, which `_freeze` collapses.  A file with more vertices
-    than bytes holds mostly isolated vertices, whose lists the child
-    would only allocate a second time.
+    `head` is the text up to the first "\n", when line 1 is a header of
+    at most `size` vertices; `mid` is the byte after the first "\n" at
+    or past size // 2, when it precedes the last byte.  Any further line
+    before the first "\n" (after a "\r", say) is parsed by both halves,
+    and its edges are stored twice, which `_freeze` collapses.  A file
+    with more vertices than bytes holds mostly isolated vertices, whose
+    lists the child would only allocate a second time.
     """
     block = os.pread(fd, _SLICE, 0)
     head = block[:block.find(b"\n") + 1].decode("utf-8")
     line = head.splitlines()[0] if head else ""
     n = _other_line(line.split(), line, 1, False)
-    return head if n is not None and n <= size else None
-
-
-def _middle(fd: int, size: int) -> int:
-    """The byte after the first "\n" at or past size // 2; 0 if none precedes the last byte."""
+    if n is None or n > size:
+        return None
     pos = size // 2
     while block := os.pread(fd, _SLICE, pos):
         cut = block.find(b"\n")
         if cut >= 0:
-            return pos + cut + 1 if pos + cut + 1 < size else 0
+            mid = pos + cut + 1
+            return (head, mid) if mid < size else None
         pos += len(block)
-    return 0
+    return None
 
 
 def _decoded(fd: int, start: int, end: int | None = None):
@@ -316,15 +313,15 @@ def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
     try:
         with open(r, "rb") as stream:
             adj = _parse(_cut(_decoded(fd, 0, mid)), keep)
-            whole = _receive(stream, adj)
+            _receive(stream, adj)
         status = os.waitpid(pid, 0)[1]
     finally:
-        if status is None:  # the parent failed or was interrupted: the child's work is moot
+        if status is None:  # the parent failed or was interrupted, or the lists ended short
             from signal import SIGKILL  # only this path needs the module
 
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return _freeze(adj) if whole and status == 0 else None
+    return _freeze(adj) if status == 0 else None
 
 
 def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
@@ -332,7 +329,7 @@ def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
 
     It leaves only through `os._exit`, whatever is raised (a broken pipe
     included), so it runs no atexit handler and flushes none of the
-    caller's stdio; its status is 0 only once every record is sent.
+    caller's stdio; its status is 0 only once its last list is sent.
     """
     code = 1
     try:
@@ -345,36 +342,27 @@ def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
 
 
 def _send(out, adj: list) -> None:
-    """Write (v, len, neighbors...) for each vertex with a nonempty list, then the end record (n, 0)."""
-    buf = array("I")
-    for v, a in enumerate(adj):
-        if a:
-            buf.append(v)
-            buf.append(len(a))
-            buf.extend(a)
-            if len(buf) >= _SEND:
-                out.write(buf)
-                del buf[:]
-    buf.extend((len(adj), 0))
-    out.write(buf)
+    """Write the length of every vertex's list, then each nonempty list, as array("I") values."""
+    out.write(array("I", map(len, adj)))
+    for a in filter(None, adj):
+        out.write(array("I", a))
 
 
-def _receive(stream, adj: list) -> bool:
-    """Extend `adj` by the records `_send` wrote; True if they ended with the end record.
+def _receive(stream, adj: list) -> None:
+    """Extend `adj` by the lists `_send` wrote; EOFError if they end short.
 
     Every neighbor value is mapped through one list of n ints, so equal
     values share one int object, as the parent's own lists do by the
     token dict, which is freed by now.
     """
-    n = len(adj)
-    ids = list(range(n))
-    vals = chain.from_iterable(iter(lambda: array("I", stream.read(_SEND * 4)), array("I")))
-    for v in vals:
-        k = next(vals)
-        if v == n:
-            return k == 0 and next(vals, None) is None
-        adj[v].extend(map(ids.__getitem__, islice(vals, k)))
-    return False
+    ids = list(range(len(adj)))
+    lengths = array("I")
+    lengths.fromfile(stream, len(adj))
+    for a, k in zip(adj, lengths):
+        if k:
+            vals = array("I")
+            vals.fromfile(stream, k)
+            a.extend(map(ids.__getitem__, vals))
 
 
 def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str) -> tuple[int, int]:

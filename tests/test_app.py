@@ -412,6 +412,25 @@ def test_verify_reports_a_graph_error_first(tmp_path):
     assert (code, out) == (2, "") and "nograph.col" in err
 
 
+@pytest.mark.parametrize("cycle", [[0, 1, 2, 3, 4], [0, 1, 2, 4, 3]])
+def test_verify_parses_the_certificate_once(tmp_path, monkeypatch, cycle):
+    """`verify` parses the certificate's JSON once, whether it is valid or not."""
+    path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(obstruction_doc(cycle))
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    code, _, _ = cli_verify(path, str(cert))
+    assert code == (0 if cycle == [0, 1, 2, 3, 4] else 1)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
 def test_cli_stdin_is_strict_utf8(tmp_path, locale):
     """Bad UTF-8 on stdin exits as it does from a path, whatever the locale."""

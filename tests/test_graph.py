@@ -532,21 +532,34 @@ def child_fault(monkeypatch, fault):
     monkeypatch.setattr(graph, "_parse", faulty)
 
 
-@pytest.mark.parametrize("fault", ["killed", "exits 0", "exits 1", "sends nothing", "fails after sending"])
+# The bytes a child sends, cut as each fault says, and then it exits 0
+SHORT_SENDS = {
+    "sends nothing": lambda data, n: b"",
+    "sends fewer than n lengths": lambda data, n: data[:4 * (n - 1)],
+    "sends a list shorter than its length": lambda data, n: data[:-4],
+}
+
+
+@pytest.mark.parametrize("fault", ["killed", "exits 0", "exits 1", *SHORT_SENDS, "fails after sending"])
 def test_split_read_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
-    """A child that dies, ends without its records or exits nonzero is reaped and the serial read runs."""
+    """A child that dies, ends its lists short or exits nonzero is reaped and the serial read runs."""
     data, keep, _ = SPLIT_CASES["plain"]
     path = tmp_path / "g.txt"
     path.write_bytes(data)
     want = read_outcome(path, keep, split=False)
     send = graph._send
 
+    def send_short(out, adj):
+        sent = io.BytesIO()
+        send(sent, adj)
+        out.write(SHORT_SENDS[fault](sent.getvalue(), len(adj)))
+
     def send_then_fail(out, adj):
         send(out, adj)
-        raise RuntimeError("after the last record")
+        raise RuntimeError("after the last list")
 
-    if fault == "sends nothing":
-        monkeypatch.setattr(graph, "_send", lambda out, adj: None)
+    if fault in SHORT_SENDS:
+        monkeypatch.setattr(graph, "_send", send_short)
     elif fault == "fails after sending":
         monkeypatch.setattr(graph, "_send", send_then_fail)
     else:
@@ -711,6 +724,17 @@ def test_parse_shares_one_int_per_vertex(fmt):
     g = parse(to_dimacs(src))
     assert g == src
     assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
+
+
+def test_split_read_shares_one_int_per_vertex_in_each_half(tmp_path):
+    """Each half interns its values: the parent by its token dict, the child's lists through `ids`."""
+    src = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
+    path = tmp_path / "g.txt"
+    path.write_text(to_dimacs(src))
+    with split_reads(), counted_forks() as forks:
+        g = _read_graph(str(path))
+    assert g == src and len(forks) == 1
+    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= 2 * g.n
 
 
 @pytest.mark.parametrize("family", ["gnp", "bipartite"])
