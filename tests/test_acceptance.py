@@ -325,6 +325,25 @@ def test_adjacency_reads_are_linear():
     )
 
 
+def test_lex_color_reads_each_neighbor_list_once():
+    """lex_color alone reads exactly n + 2m: one `neighbors` call per vertex, no `has_edge`.
+
+    The gate above bounds whole pipelines from above, so an engine that
+    read the adjacency some other way would pass it by undercounting.
+    """
+    off = []
+    for spec in ADJACENCY_SPECS:
+        g = CountingGraph(generate(spec))
+        lex_color(g)
+        if g.count != g.n + 2 * g.m:
+            off.append(f"{spec!r}: {g.count} reads, n + 2m = {g.n + 2 * g.m}")
+    report(
+        "lex_color reads every neighbor list once and nothing else",
+        not off,
+        "; ".join(off) or f"{len(ADJACENCY_SPECS)} graphs",
+    )
+
+
 def test_strategies_trace_identically():
     rng = random.Random(31)
     mismatches = 0

@@ -4,6 +4,8 @@ vector comparison, colors by explicit mex.  No packed keys, no heap.  Whole
 traces are also compared with the naive rescanning reference in conftest."""
 
 import random
+from heapq import heapify
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,14 @@ import hypothesis.strategies as st
 
 from meyniel.gen import generate, GenSpec
 from meyniel.graph import build
+from meyniel import lexcolor
 from meyniel.lexcolor import (
     ColorTrace,
     ForcedOrderError,
     lex_color,
 )
 
-from conftest import graphs, naive_lex_color, random_graph, random_legal_order
+from conftest import edge_list, graphs, naive_lex_color, random_graph, random_legal_order
 
 
 def _revlex_dense(a, b):
@@ -113,6 +116,49 @@ def test_illegal_forced_orders_fail_like_reference():
         assert got == _outcome(naive_lex_color, g, order)
         failures += type(got) is tuple  # ColorTrace is a tuple subclass
     assert failures > 300
+
+
+def _layout_edge_graphs():
+    """Graphs at the edges of the packed key layout.
+
+    G(150, 1/2) plus an isolated last vertex has keys of many 30-bit
+    digits and rebuilds its heap again and again, while that vertex keeps
+    the key 0 until the last step.  In K_60 every step is a tie that only
+    the tie-break bits decide.  At n = 2**k - 1, 2**k and 2**k + 1 the
+    largest tie-break n - 1 fills its w-bit field but for one value,
+    leaves the top bit unused, or sets the top bit alone.
+    """
+    rng = random.Random(11)
+    yield build(151, edge_list(random_graph(rng, 150, 0.5)))
+    yield build(60, list(combinations(range(60), 2)))
+    for n in (0, 1) + tuple(2**k + d for k in (2, 3, 5, 6) for d in (-1, 0, 1)):
+        yield build(n, list(combinations(range(n), 2)))
+        yield random_graph(rng, n, 0.5)
+
+
+def test_packed_layout_at_its_edges(monkeypatch):
+    rebuilds = []
+    monkeypatch.setattr(lexcolor, "heapify", lambda h: (rebuilds.append(len(h)), heapify(h)))
+    rng = random.Random(12)
+    failures = 0
+    for g in _layout_edge_graphs():
+        rebuilds.clear()
+        trace = lex_color(g)
+        assert trace == naive_lex_color(g)
+        if g.n == 151:
+            # keys of 5 digits or more, and the heap rebuilt again and again
+            assert trace.num_colors * g.n.bit_length() > 5 * 30
+            assert len(rebuilds) >= 5
+        for v in sorted({0, g.n // 2, g.n - 1} & set(range(g.n))):
+            assert lex_color(g, (v,)) == naive_lex_color(g, (v,))
+        for _ in range(4 if g.n >= 2 else 0):
+            order = random_legal_order(g, rng)
+            i, j = rng.sample(range(g.n), 2)
+            order[i], order[j] = order[j], order[i]
+            got = _outcome(lex_color, g, order)
+            assert got == _outcome(naive_lex_color, g, order)
+            failures += type(got) is tuple
+    assert failures > 30
 
 
 def test_forced_order_runs_and_errors():
