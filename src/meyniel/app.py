@@ -164,10 +164,10 @@ def _read_graph(path: str, keep=None) -> Graph:
 def _verify(path: str, cert_path: str) -> int:
     """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
 
-    The certificate is loaded first, so that an obstruction's graph keeps
-    only the cycle's adjacency, and `decode` verifies the loaded one.  An
-    error reading or loading it waits until the graph has been read, so
-    a graph error still comes first.
+    The certificate is loaded first, so that an obstruction's graph is
+    read as the subgraph induced by the cycle, and `decode` verifies the
+    loaded one.  An error reading or loading it waits until the graph
+    has been read, so a graph error still comes first.
     """
     try:
         with open(cert_path, "rb") as fh:

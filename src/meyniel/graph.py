@@ -21,10 +21,9 @@ one dict lookup, and every occurrence of it shares one int object in
 the neighbor tuples.  The token dict lives until the graph is built; it
 is largest when every token is distinct, as in a perfect matching.
 
-`parse_stream` can also keep a set of vertices: only they get neighbor
-tuples, each complete, and every other vertex gets `()`.  Such a graph
-answers only questions about kept vertices, and its `m` counts only the
-stored edges; `meyniel verify` reads an obstruction's graph this way,
+`parse_stream` can also keep a set S of vertices: it returns G[S], the
+subgraph induced by S, padded to n vertices, so every vertex outside S
+gets `()`.  `meyniel verify` reads an obstruction's graph this way,
 keeping the cycle.  The pieces, their checks and errors are the same.
 
 `parse_split` reads a large regular file on two cores.  When line 1 is
@@ -176,12 +175,11 @@ def parse_stream(fh, keep=None) -> Graph:
     while reading (such as a UnicodeDecodeError) comes only when its block
     is read, after any error in the lines before it.
 
-    With `keep`, a set of vertices, only the kept vertices get neighbor
-    tuples, each one complete; every other vertex gets `()`, and `m`
-    (half the stored neighbor entries) counts only the stored edges.
-    Such a graph answers only questions about kept vertices.  The blocks
-    and the route each takes do not depend on `keep`, so the errors are
-    the same as without it.  Kept vertices outside 0..n-1 are ignored.
+    With `keep`, a set S of vertices, it returns the subgraph induced by
+    S, padded to n vertices: only the edges with both ends in S are
+    stored, and every other vertex gets `()`.  The blocks and the route
+    each takes do not depend on `keep`, so the errors are the same as
+    without it.  Kept vertices outside 0..n-1 are ignored.
     """
     return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), keep))
 
@@ -385,14 +383,15 @@ def _parse(pieces, keep=None) -> list:
 
     Returns the per-vertex neighbor lists, for `_freeze`.  After the
     header each piece goes to `_plain_edges`, and one it declines to the
-    line loop.
+    line loop.  With `keep`, the line loop stores a kept vertex's edges
+    to every vertex, and those to unkept ones are dropped at the end.
     """
     n = 0
     adj = None  # per-vertex neighbor lists, created by the header line
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
-    kept = None  # with keep: the canonical tokens of the kept vertices
+    ids = kept = None  # with keep: the kept vertices, and their canonical tokens
     ln = 0
     for piece in pieces:
         if adj is not None and _plain_edges(piece, tok, kept, adj):
@@ -415,13 +414,15 @@ def _parse(pieces, keep=None) -> list:
                     adj = [[] for _ in range(n)]
                 else:  # one discarding sink for every vertex that is not kept
                     adj = [deque(maxlen=0)] * n
-                    ids = [v for v in keep if 0 <= v < n]
+                    ids = {v for v in keep if 0 <= v < n}
                     for v in ids:
                         adj[v] = []
                     kept = {str(v + 1) for v in ids}
                 width = 3
     if adj is None:
         raise GraphParseError(1, "missing problem line")
+    for v in ids or ():
+        adj[v] = list(filter(ids.__contains__, adj[v]))
     return adj
 
 
@@ -444,8 +445,8 @@ def _plain_edges(piece: str, tok: dict, kept: set | None, adj: list) -> bool:
     A token that passes is stored in `tok` at once: `tok` only ever
     holds valid tokens, so it stays right even when the piece is
     declined, and the line loop then raises the exact error.  With
-    `kept`, the tokens of the kept vertices, only edges with a kept
-    endpoint are stored; with None, every edge.  Never raises.
+    `kept`, the tokens of the kept vertices, only the edges with both
+    ends kept are stored; with None, every edge.  Never raises.
     """
     if not _PLAIN.match(piece) or _BREAK.search(piece):
         return False
@@ -459,16 +460,13 @@ def _plain_edges(piece: str, tok: dict, kept: set | None, adj: list) -> bool:
         tok[t] = v
     if any(map(eq, a, b)):
         return False
-    if kept is None:
-        for x, y in zip(a, b):
-            u, v = tok[x], tok[y]
-            adj[u].append(v)
-            adj[v].append(u)
-        return True
-    for x, y in compress(zip(a, b), map(kept.__contains__, a)):
-        adj[tok[x]].append(tok[y])
-    for x, y in compress(zip(a, b), map(kept.__contains__, b)):
-        adj[tok[y]].append(tok[x])
+    pairs = zip(a, b)
+    if kept is not None:  # the few lines whose first end is kept, then both ends
+        pairs = [(x, y) for x, y in compress(pairs, map(kept.__contains__, a)) if y in kept]
+    for x, y in pairs:
+        u, v = tok[x], tok[y]
+        adj[u].append(v)
+        adj[v].append(u)
     return True
 
 

@@ -397,9 +397,10 @@ def cli_verify(graph_path: str, cert_path: str) -> tuple[int, str, str]:
 def assert_verify_matches_decode(g: Graph, data) -> None:
     """`meyniel verify` on g's DIMACS file prints what `decode` on the full g says.
 
-    The CLI reads only the cycle's adjacency for an obstruction.  It runs
-    at the default slice and at a small one, where every piece after the
-    header is a few lines and plain ones are taken in bulk.
+    For an obstruction the CLI reads only the subgraph induced by the
+    cycle, padded to g's n vertices.  It runs at the default slice and at
+    a small one, where every piece after the header is a few lines and
+    plain ones are taken in bulk.
     """
     want = decode_outcome(g, data)
     saved = graph._SLICE

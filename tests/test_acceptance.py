@@ -240,16 +240,17 @@ def test_first_color_class_strong_on_meyniel_instances():
 
 
 def test_near_linear_scaling():
-    times = {}
-    for n in (250, 500, 1000, 2000):
-        g = generate(GenSpec(family="gnp", n=n, p=0.5, seed=17))
-        runs = []
-        for _ in range(5):
+    graphs = {n: generate(GenSpec(family="gnp", n=n, p=0.5, seed=17)) for n in (250, 500, 1000, 2000)}
+    runs = {n: [] for n in graphs}
+    # each repetition times every size, so a burst of load on the host
+    # slows one run of each size rather than the whole block of one size
+    for _ in range(5):
+        for n, g in graphs.items():
             t0 = time.perf_counter()
             trace = lex_color(g)
             greedy_clique(g, trace)
-            runs.append(time.perf_counter() - t0)
-        times[n] = statistics.median(runs)
+            runs[n].append(time.perf_counter() - t0)
+    times = {n: statistics.median(r) for n, r in runs.items()}
     ratios = {n: times[2 * n] / times[n] for n in (250, 500, 1000)}
     ok = all(r <= 5.0 for r in ratios.values()) and times[2000] <= 10.0
     report(

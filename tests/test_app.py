@@ -382,7 +382,7 @@ def hostile_documents(g, cert):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_verify_matches_decode_on_hostile_obstructions(seed):
-    """`verify` keeps only the cycle's adjacency, and prints what decode on the full graph does."""
+    """`verify` reads only the subgraph induced by the cycle, and prints what decode on the full graph does."""
     g = generate(GenSpec(family="gnp", n=60, p=0.5, seed=seed))
     cert = robust_solve(g)
     assert isinstance(cert, MeynielObstruction)

@@ -27,8 +27,23 @@ from meyniel.graph import (
 from conftest import counted_forks, edge_list, graphs, reference_parse, split_reads
 
 
+def assert_whole_graph(g) -> None:
+    """g keeps the `Graph` constructor's contract, and its DIMACS text parses back to it.
+
+    Every tuple is ascending, loop-free and in range, every edge is
+    stored at both ends, and m is half the stored entries.
+    """
+    nbrs = tuple(map(g.neighbors, range(g.n)))
+    for v, a in enumerate(nbrs):
+        assert list(a) == sorted(set(a)) and v not in a, v
+        assert all(0 <= w < g.n and v in nbrs[w] for w in a), v
+    assert 2 * g.m == sum(map(len, nbrs))
+    assert parse(to_dimacs(g)) == g
+
+
 def test_build_basic():
     g = build(4, [(0, 1), (1, 2), (1, 2)])
+    assert_whole_graph(g)
     assert g.n == 4
     assert g.m == 2
     assert g.has_edge(0, 1) and g.has_edge(2, 1)
@@ -75,6 +90,7 @@ def test_subgraph_relabels():
 def test_subgraph_matches_rebuild(g, data):
     verts = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True, max_size=g.n))
     sub, old = g.subgraph(verts)
+    assert_whole_graph(sub)
     k = len(old)
     assert sub == build(k, [(i, j) for i in range(k) for j in range(i + 1, k) if g.has_edge(old[i], old[j])])
 
@@ -198,7 +214,9 @@ GENERATED_SHA256 = [
 
 def test_generated_graphs_are_pinned():
     for spec, digest in GENERATED_SHA256:
-        assert hashlib.sha256(to_dimacs(generate(spec)).encode()).hexdigest() == digest, spec
+        g = generate(spec)
+        assert_whole_graph(g)
+        assert hashlib.sha256(to_dimacs(g).encode()).hexdigest() == digest, spec
 
 
 SLICES = (1, 2, 7, 64, graph._SLICE)
@@ -269,34 +287,47 @@ def parse_outcome(parser, source):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-def keep_outcome(text: str, keep) -> tuple:
-    """`parse_stream` with `keep`: n and every vertex's tuple, or its error."""
-    got = parse_outcome(lambda src: parse_stream(src, keep=keep), io.StringIO(text))
+def view(got) -> tuple:
+    """n, m and every vertex's tuple of a graph, checked whole; an error as it is."""
     if isinstance(got, graph.Graph):
-        return got.n, tuple(got.neighbors(v) for v in range(got.n))
+        assert_whole_graph(got)
+        return got.n, got.m, tuple(map(got.neighbors, range(got.n)))
     return got
 
 
+def keep_read(text: str, keep):
+    """`parse_stream` with `keep`: the graph, or its error as `parse_outcome` gives it."""
+    return parse_outcome(lambda src: parse_stream(src, keep=keep), io.StringIO(text))
+
+
 def kept_view(full, keep) -> tuple:
-    """What a keep parse must give when the full parse gave `full`."""
-    if isinstance(full, graph.Graph):
-        return full.n, tuple(full.neighbors(v) if v in keep else () for v in range(full.n))
-    return full
+    """What `view` of a keep parse must give when the full parse gave `full`.
+
+    That is the subgraph induced by `keep`, padded to n vertices, or the
+    same error.
+    """
+    if not isinstance(full, graph.Graph):
+        return full
+    nbrs = tuple(tuple(w for w in full.neighbors(v) if w in keep) if v in keep else ()
+                 for v in range(full.n))
+    return full.n, sum(map(len, nbrs)) // 2, nbrs
 
 
 def _check_against_reference(text: str, keeps=(), slices=SLICES) -> None:
     # at every slice size, parse_stream reads the same text block by block
     # and gives the same graph or the same error; with a keep set it gives
-    # the same error, or the full parse's tuples for the kept vertices only
-    want = parse_outcome(parse, text)
+    # the same error, or the full parse's subgraph induced by the kept
+    # vertices.  Every graph built keeps the `Graph` contract
+    full = parse_outcome(parse, text)
+    want = view(full)
     saved = graph._SLICE
     try:
         for size in slices:
             graph._SLICE = size
-            assert parse_outcome(parse, text) == want, size
-            assert parse_outcome(parse_stream, io.StringIO(text)) == want, size
+            assert view(parse_outcome(parse, text)) == want, size
+            assert view(parse_outcome(parse_stream, io.StringIO(text))) == want, size
             for keep in keeps:
-                assert keep_outcome(text, keep) == kept_view(want, keep), (size, keep)
+                assert view(keep_read(text, keep)) == kept_view(full, keep), (size, keep)
     finally:
         graph._SLICE = saved
     try:
@@ -383,12 +414,12 @@ def test_read_graph_with_keep_holds_a_fraction_of_the_graph(tmp_path):
     finally:
         tracemalloc.stop()
     assert g.m > 200_000
-    assert [h.neighbors(v) for v in range(h.n)] == [g.neighbors(v) if v in keep else () for v in range(g.n)]
+    assert view(h) == kept_view(g, keep)
     assert peak < full / 4, (peak, full)
 
 
 def read_outcome(path, keep=None, split: bool = True) -> tuple:
-    """`_read_graph` with the split forced on or off: n, m and every tuple, or the error's type and message.
+    """`_read_graph` with the split forced on or off: `view` of the graph, or the error's type and message.
 
     Only the GraphInputError family is caught; anything else fails the test.
     """
@@ -397,7 +428,7 @@ def read_outcome(path, keep=None, split: bool = True) -> tuple:
             g = _read_graph(str(path), keep)
         except GraphInputError as exc:
             return type(exc), str(exc)
-    return g.n, g.m, tuple(map(g.neighbors, range(g.n)))
+    return view(g)
 
 
 @contextlib.contextmanager
@@ -444,6 +475,8 @@ def test_split_read_matches_serial_read(tmp_path_factory, data):
         want = read_outcome(path, keep, split=False)
         with counted_forks() as forks, counted_serial_reads() as serial:
             assert read_outcome(path, keep) == want
+        if keep is not None and isinstance(want[0], int):  # the full graph's induced subgraph
+            assert want == kept_view(parse(path.read_text(encoding="utf-8")), keep)
     finally:
         graph._SLICE = saved
     # a valid file that was split needs no serial read
@@ -627,7 +660,7 @@ def plain_pieces_text(fault: str, spy: list) -> tuple[str, int, int]:
 
 
 def reference_outcome(text: str, keep) -> tuple:
-    """What `keep_outcome` must give, by the reference parser, which has no bulk route."""
+    """What `view` of `keep_read` must give, by the reference parser, which has no bulk route."""
     try:
         n, edges = reference_parse(text)
     except GraphInputError as exc:
@@ -648,8 +681,9 @@ def check_plain_pieces_in_bulk(monkeypatch, fault: str, keep) -> None:
     monkeypatch.setattr(graph, "_SLICE", 100)  # blocks of 100 characters
     text, at, k = plain_pieces_text(fault, spy)
     want = reference_outcome(text, keep)
-    assert keep_outcome(text, keep) == want
-    taken = [ok for _, ok in spy]
+    got = keep_read(text, keep)
+    taken = [ok for _, ok in spy]  # before `view` parses the graph's text again
+    assert view(got) == want
     k %= len(taken)
     assert any(taken[:k]) and not taken[k]
     if fault in ("range", "loop"):

@@ -1,7 +1,7 @@
 """Source checks: no module in meyniel imports a name that it never reads,
 every name the bench wraps exists, the verifiers in `certify` import
-nothing of the solver, and the package needs no Python newer than the one
-pyproject.toml declares."""
+nothing of the solver, only `graph` calls the `Graph` constructor, and the
+package needs no Python newer than the one pyproject.toml declares."""
 
 import ast
 import importlib
@@ -110,6 +110,25 @@ def test_catches_a_solver_import_in_certify(planted):
     tree = module_tree("certify")
     tree.body[:0] = ast.parse(planted).body
     assert imported_modules(tree) & SOLVER_MODULES
+
+
+def graph_constructions(tree: ast.Module) -> int:
+    """How many calls of `Graph(...)` or `<module>.Graph(...)` a module makes."""
+    return sum(isinstance(node, ast.Call)
+               and "Graph" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_only_graph_calls_the_graph_constructor():
+    """Every Graph is built in `graph`, the one place that keeps it a whole graph."""
+    assert {name for name in MODULES if graph_constructions(module_tree(name))} == {"graph"}
+
+
+@pytest.mark.parametrize("planted", ["Graph(((),))", "graph.Graph(nbrs)"])
+def test_catches_a_graph_built_outside_graph(planted):
+    tree = module_tree("certify")
+    tree.body.extend(ast.parse(planted).body)
+    assert graph_constructions(tree)
 
 
 def test_graph_and_gen_import_only_what_they_build_on():
