@@ -1,11 +1,12 @@
 """Acceptance suite: one test and one printed pass/fail line per claim.
 
 These are the binding end-to-end checks for the package: exhaustive
-small-graph sweeps, randomized sweeps with oracle cross-checks, two
-pinned golden runs, structured-family behavior, per-vertex stable set
-extraction, scaling, adjacency reads linear in n + m, equivalence with
-the naive reference coloring under every legal tie-break, and
-certificate tampering.
+small-graph sweeps, randomized sweeps with oracle cross-checks, a pinned
+sweep of exact closings on larger paths and graphs, two pinned golden
+runs, structured-family behavior, per-vertex stable set extraction,
+scaling, adjacency reads linear in n + m, equivalence with the naive
+reference coloring under every legal tie-break, and certificate
+tampering.
 Run with -rA (or -s) to see the summary lines for passing tests too.
 """
 
@@ -30,6 +31,7 @@ from meyniel.gen import GenSpec, generate
 from meyniel.graph import build
 from meyniel.lexcolor import lex_color
 from meyniel.niceset import nice_check
+from meyniel.obstruction import NearObstruction, extract_obstruction, near_to_obstruction
 from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
 from conftest import (
@@ -62,6 +64,7 @@ SIX_VERTEX_SOLVE_SHA256 = "be2f1323013ec5f21a366ee3b09432b1491416b360a513f2d7c25
 SIX_VERTEX_STRIPPING_SHA256 = "4548adf1e752fbd8b51cfd6201ec057de26633327fb035ca80b82fab6f542397"
 RANDOM_SWEEP_SHA256 = "326643ca15920c60b0ca6c74418f246e61685d473251005769126cb418554977"
 STABLE_SET_SWEEP_SHA256 = "b097ed37aa74d45a6661ffad3596a07aadaf69f89947ebca88bb057734a0c131"
+EXACT_CLOSING_SWEEP_SHA256 = "8137e5e2bedd4b24a5d58e1c07685f6ceff06e3f2bd4c0783b7bd975920e3a5d"
 
 
 def test_exhaustive_six_vertex_sweep():
@@ -206,6 +209,62 @@ def test_stable_set_for_every_vertex():
         "every vertex of 2000 random graphs: nice stable set or obstruction",
         bad == 0,
         f"{nice_n} nice, {obstructed} obstructed, {bad} failures",
+    )
+
+
+def random_near(rng):
+    """A sound near obstruction of a random kind, labels permuted: (graph, near).
+
+    The path has an even number of vertices, 4 to 30; the apex touches
+    each inner vertex with one probability per instance, so sparse
+    instances walk the closing restarts many times.
+    """
+    kind = rng.randint(1, 4)
+    n = 2 * rng.randint(3 if kind == 2 else 2, 15)
+    mid = {1: 1, 2: 2}.get(kind)
+    if kind >= 3:
+        mid = rng.choice([None] + list(range(kind - 1, n - 2)))
+    dens = rng.choice((0.1, 0.25, 0.5))
+    hits = [rng.random() < dens for _ in range(n)]
+    hits[0] = hits[-1] = True
+    if kind == 1:
+        hits[1] = hits[2] = False
+    elif kind == 2 and hits[1] and hits[3]:
+        hits[rng.choice((1, 3))] = False
+    elif kind == 3:
+        hits[1] = False
+    elif kind == 4:
+        hits[1], hits[2] = True, False
+    lab = rng.sample(range(n + 1), n + 1)
+    es = [(lab[t], lab[t + 1]) for t in range(n - 1)] + [(lab[n], lab[t]) for t in range(n) if hits[t]]
+    if mid is not None:
+        es.append((lab[mid - 1], lab[mid + 1]))
+    return build(n + 1, es), NearObstruction(tuple(lab[:n]), mid, lab[n], kind)
+
+
+def test_exact_closing_sweep():
+    rng = random.Random(2205)
+    digest = hashlib.sha256()
+    bad = extracted = 0
+    for _ in range(20000):
+        g, near = random_near(rng)
+        ob = near_to_obstruction(g, near)
+        digest.update(encode(ob))
+        bad += not verify_obstruction(g, ob)
+    for t in range(3000):
+        g = random_graph(rng, 13 + t % 28, (0.3, 0.5, 0.7, 0.85)[t % 4])
+        trace = lex_color(g)
+        res = greedy_clique(g, trace)
+        if isinstance(res, CliqueFailure):
+            ob = extract_obstruction(g, trace, res)
+            digest.update(encode(ob))
+            bad += not verify_obstruction(g, ob)
+            extracted += 1
+    assert digest.hexdigest() == EXACT_CLOSING_SWEEP_SHA256
+    report(
+        "20000 synthetic near obstructions and 3000 graphs on 13-40 vertices close exactly as pinned",
+        bad == 0,
+        f"{extracted} extractions, {bad} failures",
     )
 
 
