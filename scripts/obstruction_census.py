@@ -3,8 +3,11 @@
 For each (n, p) cell, run the solver on many G(n, p) instances and
 tabulate how often it colors optimally versus how often it produces an
 odd-cycle obstruction, along with the obstruction shapes (cycle length,
-chord present or not).  Dense graphs are almost never Meyniel yet still
-often color optimally; the census makes that visible.
+chord present or not) and the kinds of the near obstructions they were
+closed from (the `kind` of `meyniel.obstruction.NearObstruction`; kinds
+1-3 share one closing case split, kind 4 has its own).  Dense graphs are
+almost never Meyniel yet still often color optimally; the census makes
+that visible.
 
     python3 scripts/obstruction_census.py --per-cell 200
 """
@@ -16,7 +19,10 @@ import random
 
 from meyniel.app import robust_solve
 from meyniel.certify import OptimalPair
-from meyniel.graph import build
+from meyniel.clique import greedy_clique
+from meyniel.graph import Graph, build
+from meyniel.lexcolor import lex_color
+from meyniel.obstruction import bad_path_to_near, build_view, initial_bad_path
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,15 @@ class Cell:
     obstructed: int = 0
     lengths: Counter = field(default_factory=Counter)
     chords: int = 0
+    kinds: Counter = field(default_factory=Counter)
+
+
+def near_kind(g: Graph) -> int:
+    """The kind of the near obstruction that `robust_solve` closes on g, which must obstruct."""
+    trace = lex_color(g)
+    failure = greedy_clique(g, trace)
+    view = build_view(g, trace, failure.color)
+    return bad_path_to_near(g, trace, view, initial_bad_path(g, view, failure)).kind
 
 
 def run_cell(cfg: CensusConfig, n: int, p: float) -> Cell:
@@ -40,7 +55,8 @@ def run_cell(cfg: CensusConfig, n: int, p: float) -> Cell:
     cell = Cell()
     for _ in range(cfg.per_cell):
         es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        cert = robust_solve(build(n, es))
+        g = build(n, es)
+        cert = robust_solve(g)
         if isinstance(cert, OptimalPair):
             cell.optimal += 1
         else:
@@ -48,6 +64,7 @@ def run_cell(cfg: CensusConfig, n: int, p: float) -> Cell:
             cell.lengths[len(cert.cycle)] += 1
             if cert.chord is not None:
                 cell.chords += 1
+            cell.kinds[near_kind(g)] += 1
     return cell
 
 
@@ -65,13 +82,14 @@ def main() -> int:
         seed=args.seed,
     )
     print(f"{'n':>4} {'p':>5} {'optimal':>8} {'obstructed':>11} "
-          f"{'chorded':>8}  cycle lengths")
+          f"{'chorded':>8} {'kinds 1/2/3/4':>14}  cycle lengths")
     for n in cfg.ns:
         for p in cfg.ps:
             cell = run_cell(cfg, n, p)
             shape = " ".join(f"{ln}:{ct}" for ln, ct in sorted(cell.lengths.items()))
+            kinds = "/".join(str(cell.kinds[k]) for k in (1, 2, 3, 4))
             print(f"{n:>4} {p:>5.2f} {cell.optimal:>8} {cell.obstructed:>11} "
-                  f"{cell.chords:>8}  {shape}")
+                  f"{cell.chords:>8} {kinds:>14}  {shape}")
     return 0
 
 

@@ -16,10 +16,12 @@ attachment vertex z next to x_i and either rewrites the path at a
 strictly smaller index or produces a *near obstruction*: an even path
 w_0, ..., w_p (again at most one short chord) plus an apex z adjacent to
 both ends.  A final case analysis on where the apex first touches the
-path closes the cycle.  Every step is pure bookkeeping over edges, so a
-failed invariant raises InternalInvariantError instead of returning a
-wrong certificate, and the pipelines in `app` verify the emitted cycle
-before it leaves.
+path closes the cycle: one case split serves kinds 1-3, where the apex
+misses w_1 (a kind-2 apex on w_1 is first rerouted through the chord),
+and a second serves kind 4, whose apex hits w_1.  Every step is pure
+bookkeeping over edges, so a failed invariant raises
+InternalInvariantError instead of returning a wrong certificate, and the
+pipelines in `app` verify the emitted cycle before it leaves.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class NearObstruction(NamedTuple):
       2: chord joins w_1 and w_3; apex misses w_1 or w_3
       3: no chord at w_1; apex misses w_1
       4: no chord at w_1 or w_2; apex hits w_1 but not w_2
+
+    Kinds 1, 2 and 3 close by one case split; only kind 2 with the apex
+    on w_1 first reroutes through the chord, to kind 3.
     """
 
     verts: tuple[int, ...]
@@ -161,7 +166,6 @@ def reduce_bad_path(
     """
     vs = bp.verts
     mid = bp.chord_mid
-    p = len(vs)
     f1 = view.first_idx[vs[0]]
     fz = view.first_idx[z]
     j = max(f1, fz)
@@ -178,7 +182,7 @@ def reduce_bad_path(
         return NearObstruction(verts=(xj,) + vs, chord_mid=nmid, apex=z, kind=kind)
 
     orient_fwd = fz == j
-    k = next(t for t in range(1, p + 1) if g.has_edge(z, vs[t - 1]))
+    k = _first_touch(g, z, vs, 0) + 1
 
     core: tuple[int, ...]
     pair: tuple[int, int] | None
@@ -197,23 +201,16 @@ def reduce_bad_path(
             pair = (z, vs[k])
         else:
             return NearObstruction(vs[k - 1:], None, z, 4)
-    elif mid == k:
-        if g.has_edge(z, vs[k]):
-            core = vs[:k + 1]
-            pair = (z, vs[k - 1])
-        elif g.has_edge(z, vs[k + 1]):
-            core = vs[:k] + (vs[k + 1],)
-            pair = (z, vs[k - 1])
-        else:
-            return NearObstruction(vs[k - 1:], 1, z, 1)
     else:
-        # chord absent or strictly beyond the landing stretch
+        # chord absent, starting at the landing vertex vs[k-1], or beyond it
         if g.has_edge(z, vs[k]):
             core = vs[:k + 1]
-            pair = (z, vs[k - 1])
+        elif mid == k and g.has_edge(z, vs[k + 1]):
+            core = vs[:k] + (vs[k + 1],)
         else:
             nmid = None if mid is None else mid - (k - 1)
-            return NearObstruction(vs[k - 1:], nmid, z, 3)
+            return NearObstruction(vs[k - 1:], nmid, z, 1 if nmid == 1 else 3)
+        pair = (z, vs[k - 1])
 
     if orient_fwd:
         nverts = core + (z, xj)
@@ -244,6 +241,14 @@ def bad_path_to_near(
         bp = nxt
 
 
+def _first_touch(g: Graph, z: int, path: tuple[int, ...], lo: int) -> int:
+    """The least position t >= lo with z adjacent to path[t]."""
+    for t in range(lo, len(path)):
+        if g.has_edge(z, path[t]):
+            return t
+    raise InternalInvariantError(f"apex {z} touches the path nowhere from position {lo}")
+
+
 def _emit(cyc: tuple[int, ...], pair: tuple[int, int] | None) -> MeynielObstruction:
     chord = None if pair is None else (min(pair), max(pair))
     return MeynielObstruction(cycle=tuple(cyc), chord=chord)
@@ -253,81 +258,23 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
     """Close a near obstruction into an odd cycle with at most one chord.
 
     r is where the apex first touches the path (from w_3 on for kind 4,
-    since there it hits w_1 by definition).  Odd r closes directly; even
-    r either reroutes through the chord, drops one path vertex, or
-    restarts on the tail w_r.. with a smaller near obstruction.
+    since there it hits w_1 by definition).  Kind 4 closes by its own
+    split.  Kind 2 with r = 1 reroutes through the chord to kind 3, and
+    kinds 1, 2 and 3 then share one split: odd r closes directly; even
+    r drops the chord's middle vertex, closes through the chord or the
+    apex, or restarts on the tail w_r.. with a smaller near obstruction.
     """
     w = near.verts
     mid = near.chord_mid
     z = near.apex
     kind = near.kind
+    if kind not in (1, 2, 3, 4):
+        raise InternalInvariantError(f"unknown near obstruction kind {kind}")
     while True:
-        last = len(w) - 1
-        lo = 3 if kind == 4 else 1
-        r = next(t for t in range(lo, last + 1) if g.has_edge(z, w[t]))
-
-        if kind == 1:
-            if r % 2 == 1:
-                return _emit((z,) + w[:r + 1], (w[0], w[2]))
-            return _emit((z, w[0]) + w[2:r + 1], None)
-
-        if kind == 2:
-            hits1 = g.has_edge(z, w[1])
-            hits2 = g.has_edge(z, w[2])
-            if not hits1 and not hits2:
-                if r % 2 == 1:
-                    return _emit((z,) + w[:r + 1], (w[1], w[3]))
-                return _emit((z, w[0], w[1]) + w[3:r + 1], None)
-            if not hits1:
-                # apex lands on w_2 first
-                if not g.has_edge(z, w[3]):
-                    return _emit((z, w[0], w[1], w[3], w[2]), (w[1], w[2]))
-                if g.has_edge(z, w[4]):
-                    return _emit((z, w[0], w[1], w[3], w[4]), (z, w[3]))
-                w = w[2:]
-                mid = None
-                kind = 4
-                continue
-            # apex hits w_1, hence misses w_3: reroute through the chord
-            w = (w[1],) + w[3:]
-            mid = None
-            kind = 3
-            continue
-
-        if kind == 3:
-            if r % 2 == 1:
-                keep = mid is not None and mid + 1 <= r
-                return _emit((z,) + w[:r + 1], (w[mid - 1], w[mid + 1]) if keep else None)
-            if mid is not None and mid < r:
-                return _emit((z,) + w[:mid] + w[mid + 1:r + 1], None)
-            if mid == r:
-                if not g.has_edge(z, w[r + 1]):
-                    return _emit((z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
-                if g.has_edge(z, w[r + 2]):
-                    return _emit((z,) + w[:r] + (w[r + 1], w[r + 2]), (z, w[r + 1]))
-                w = w[r:]
-                mid = None
-                kind = 4
-                continue
-            if mid == r + 1:
-                if g.has_edge(z, w[r + 1]):
-                    return _emit((z,) + w[:r + 2], (z, w[r]))
-                if g.has_edge(z, w[r + 2]):
-                    return _emit((z,) + w[:r + 1] + (w[r + 2],), (z, w[r]))
-                w = w[r:]
-                mid = 1
-                kind = 1
-                continue
-            if g.has_edge(z, w[r + 1]):
-                return _emit((z,) + w[:r + 2], (z, w[r]))
-            w = w[r:]
-            mid = None if mid is None else mid - r
-            kind = 3
-            continue
+        r = _first_touch(g, z, w, 3 if kind == 4 else 1)
 
         if kind == 4:
-            inside = mid is not None and 2 < mid < r
-            if inside:
+            if mid is not None and 2 < mid < r:
                 if r % 2 == 1:
                     return _emit((z,) + w[1:mid] + w[mid + 1:r + 1], None)
                 return _emit((z,) + w[1:r + 1], (w[mid - 1], w[mid + 1]))
@@ -335,7 +282,32 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
                 return _emit((z,) + w[:r + 1], (z, w[1]))
             return _emit((z,) + w[1:r + 1], None)
 
-        raise InternalInvariantError(f"unknown near obstruction kind {kind}")
+        if kind == 2 and r == 1:
+            # apex hits w_1, hence misses w_3: reroute through the chord
+            w, mid, kind = (w[1],) + w[3:], None, 3
+            continue
+
+        if r % 2 == 1:
+            keep = mid is not None and mid + 1 <= r
+            return _emit((z,) + w[:r + 1], (w[mid - 1], w[mid + 1]) if keep else None)
+        if mid is not None and mid < r:
+            return _emit((z,) + w[:mid] + w[mid + 1:r + 1], None)
+        if mid == r:
+            if not g.has_edge(z, w[r + 1]):
+                return _emit((z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
+            if g.has_edge(z, w[r + 2]):
+                return _emit((z,) + w[:r] + (w[r + 1], w[r + 2]), (z, w[r + 1]))
+            w, mid, kind = w[r:], None, 4
+            continue
+        if g.has_edge(z, w[r + 1]):
+            return _emit((z,) + w[:r + 2], (z, w[r]))
+        if mid == r + 1 and g.has_edge(z, w[r + 2]):
+            return _emit((z,) + w[:r + 1] + (w[r + 2],), (z, w[r]))
+        # the apex misses w_{r+1} (and w_{r+2} when the chord starts at
+        # w_r): the tail is a near obstruction of kind 1 or 3
+        w = w[r:]
+        mid = None if mid is None else mid - r
+        kind = 3
 
 
 def extract_obstruction(

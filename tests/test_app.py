@@ -552,7 +552,9 @@ def test_census_script_runs():
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[1].split()[:2] == ["6", "0.50"]
+    row = res.stdout.splitlines()[1].split()
+    assert row[:2] == ["6", "0.50"]
+    assert sum(map(int, row[5].split("/"))) == int(row[3])  # one near-obstruction kind per obstruction
 
 
 def test_module_entry_point():

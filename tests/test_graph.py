@@ -464,6 +464,9 @@ def test_split_read_matches_serial_read(tmp_path_factory, data):
         st.lists(st.sampled_from(FUZZ_TOKENS), max_size=80).map("".join).map(str.encode),
         st.text(max_size=60).map(str.encode),
         st.binary(max_size=60),
+        # canonical edge lines, so that a keep set meets kept-kept edges
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda e: e[0] != e[1]),
+                 max_size=12).map(lambda es: "".join(f"e {u} {v}\n" for u, v in es).encode()),
     ), "body")
     keep = data.draw(st.none() | st.sets(st.integers(-1, 8), max_size=4), "keep")
     size = data.draw(st.sampled_from(SLICES), "slice")

@@ -20,6 +20,7 @@ from meyniel.graph import build
 from meyniel.lexcolor import ColorTrace, lex_color
 from meyniel.obstruction import (
     BadPath,
+    InternalInvariantError,
     NearObstruction,
     build_view,
     extract_obstruction,
@@ -426,6 +427,23 @@ def synthetic_chorded_rounds(draw):
 @settings(max_examples=400)
 def test_synthetic_chorded_round_is_sound(case):
     check_round(*case)
+
+
+def test_apex_touching_no_later_path_vertex_is_an_invariant_failure():
+    """A missing first touch raises InternalInvariantError, not a bare StopIteration."""
+    g = build(5, [(0, 1), (1, 2), (2, 3), (4, 0)])  # the apex sees w_0 only
+    with pytest.raises(InternalInvariantError, match="touches the path nowhere"):
+        near_to_obstruction(g, NearObstruction((0, 1, 2, 3), None, 4, 3))
+    g, trace, view, bp, z = synthetic_bad_path(5, None, set(), True)
+    x2 = 7  # adjacent to z alone, so to no path vertex
+    with pytest.raises(InternalInvariantError, match="touches the path nowhere"):
+        reduce_bad_path(g, view, bp, x2)
+
+
+def test_unknown_near_obstruction_kind_is_an_invariant_failure():
+    g = build(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 3)])
+    with pytest.raises(InternalInvariantError, match="unknown near obstruction kind 5"):
+        near_to_obstruction(g, NearObstruction((0, 1, 2, 3), None, 4, 5))
 
 
 class TestValidatorsCatchCorruption:
