@@ -10,16 +10,18 @@ One streaming loop parses DIMACS text.  It takes the text as
 pieces of about 16 KiB, each ending just after a "\n", so only one
 piece's lines exist at once.  One cutter makes them from fixed-size
 blocks, which `parse` slices from a str and `parse_stream` reads from a
-text file object, so a file's text is never held whole.  A piece after
-the header made only of canonical edge lines ("e 12 7", single spaces,
-no leading zeros) is checked in bulk: split once, each new token
-range-checked once, self-loops found by string equality.  Any other
-piece takes the line loop, whose hot branch takes edge lines; every
-other line (header, comment, blank or malformed) goes to one cold
-helper.  Both routes intern endpoint tokens: a token seen before costs
-one dict lookup, and every occurrence of it shares one int object in
-the neighbor tuples.  The token dict lives until the graph is built; it
-is largest when every token is distinct, as in a perfect matching.
+text file object, so a file's text is never held whole.  Line 1 is a
+piece of its own.  A piece after the header made only of canonical edge
+lines ("e 12 7": single spaces, two distinct tokens in 1..n without a
+leading zero) is taken in bulk.  One regex, built from the header's n,
+checks every line's shape, endpoint range and self-loop at once, and
+the piece is then split once.  Any other piece takes the line loop,
+whose hot branch takes edge lines; every other line (header, comment,
+blank or malformed) goes to one cold helper.  Both routes intern
+endpoint tokens: a token seen before costs one dict lookup, and every
+occurrence of it shares one int object in the neighbor tuples.  The
+token dict lives until the graph is built; it is largest when every
+token is distinct, as in a perfect matching.
 
 `parse_stream` can also keep a set S of vertices: it returns G[S], the
 subgraph induced by S, padded to n vertices, so every vertex outside S
@@ -53,8 +55,7 @@ from bisect import bisect_left
 from codecs import getincrementaldecoder
 from collections import deque
 from functools import partial
-from itertools import chain, compress, filterfalse
-from operator import eq
+from itertools import chain, compress
 
 
 class GraphInputError(ValueError):
@@ -196,14 +197,19 @@ _SLICE = 1 << 14
 def _cut(blocks):
     # Each text block is cut after its last "\n" and the tail carried on.
     # A block without "\n" is only held, and the held blocks are joined
-    # once, so one huge line costs linear time, not quadratic.
+    # once, so one huge line costs linear time, not quadratic.  Line 1 is
+    # a piece of its own, cut at its "\n", so that when it is the header
+    # every later line can reach the bulk route, even in a file of one
+    # block; the rest of its block is carried into the next piece.
     held: list[str] = []
+    find = str.find
     for block in blocks:
-        cut = block.rfind("\n") + 1
+        cut = find(block, "\n") + 1
         if cut:
             held.append(block[:cut])
             yield "".join(held)
             held = [block[cut:]]
+            find = str.rfind
         else:
             held.append(block)
     if tail := "".join(held):
@@ -391,10 +397,11 @@ def _parse(pieces, keep=None) -> list:
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
-    ids = kept = None  # with keep: the kept vertices, and their canonical tokens
+    ids = kept = None  # with keep: the kept vertices, and their canonical tokens mapped to them
+    canon = None  # the canonical line's patterns, built from the header's n
     ln = 0
     for piece in pieces:
-        if adj is not None and _plain_edges(piece, tok, kept, adj):
+        if canon is not None and _plain_edges(piece, canon, tok, kept, adj):
             ln += piece.count("\n")
             continue
         for ln, raw in enumerate(piece.splitlines(), ln + 1):
@@ -417,7 +424,8 @@ def _parse(pieces, keep=None) -> list:
                     ids = {v for v in keep if 0 <= v < n}
                     for v in ids:
                         adj[v] = []
-                    kept = {str(v + 1) for v in ids}
+                    kept = {str(v + 1): v for v in ids}
+                canon = _canonical(n)
                 width = 3
     if adj is None:
         raise GraphParseError(1, "missing problem line")
@@ -426,45 +434,76 @@ def _parse(pieces, keep=None) -> list:
     return adj
 
 
-# The canonical edge line: "e", two ASCII-digit tokens without a leading
-# zero, single spaces and "\n".  A piece is plain when its first line is
-# canonical and _BREAK, a "\n" that neither ends the piece nor starts a
-# canonical line, is not found.  A search keeps the regex engine's memory
-# constant, where a fullmatch of `(?:line)*` would stack state per line.
-_LINE = "e [1-9][0-9]* [1-9][0-9]*\n"
-_PLAIN = re.compile(_LINE)
-_BREAK = re.compile(f"\n(?!{_LINE}|\\Z)")
+def _canonical(n: int) -> tuple[re.Pattern, re.Pattern]:
+    """The patterns of a canonical edge line for n vertices: (line, break).
+
+    A canonical line is "e", two distinct ASCII-digit tokens in 1..n
+    without a leading zero, single spaces and "\n".  A piece is plain when
+    `line` matches its first line and `break`, a "\n" that neither ends
+    the piece nor starts a canonical line, is not found.  A search keeps
+    the regex engine's memory constant, where a fullmatch of `(?:line)*`
+    would stack state per line.
+    """
+    x = _upto(n)
+    line = f"e ({x}) (?!\\1\n)(?:{x})\n"  # the second token is not the first
+    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
 
 
-def _plain_edges(piece: str, tok: dict, kept: set | None, adj: list) -> bool:
+def _upto(n: int) -> str:
+    """An alternation that matches exactly the decimal forms of 1..n, without a leading zero.
+
+    For n = 2000 it is "2000|1[0-9]{3}|[1-9][0-9]{0,2}": n itself, then,
+    for each digit of n above its floor, the tokens that share n's digits
+    before it and are smaller there, then every shorter token.
+    """
+    if n < 1:
+        return "(?!)"  # never matches
+    s = str(n)
+    alts = [s]
+    for i, c in enumerate(s):
+        low, top = "0" if i else "1", chr(ord(c) - 1)
+        if top >= low:
+            rest = len(s) - i - 1
+            digit = low if top == low else f"[{low}-{top}]"
+            alts.append(s[:i] + digit + (f"[0-9]{{{rest}}}" if rest else ""))
+    if len(s) > 1:
+        alts.append("[1-9]" + (f"[0-9]{{0,{len(s) - 2}}}" if len(s) > 2 else ""))
+    return "|".join(alts)
+
+
+def _plain_edges(piece: str, canon: tuple, tok: dict, kept: dict | None, adj: list) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
-    On canonical lines the line loop's checks reduce to two: each new
-    token is at most n (it cannot be below 1), and no line's two tokens
-    are equal.
-    A token that passes is stored in `tok` at once: `tok` only ever
-    holds valid tokens, so it stays right even when the piece is
-    declined, and the line loop then raises the exact error.  With
-    `kept`, the tokens of the kept vertices, only the edges with both
-    ends kept are stored; with None, every edge.  Never raises.
+    `canon` is `_canonical(n)`.  Its patterns check what the line loop
+    would on each line: both tokens are in 1..n and differ.  Any other
+    piece is declined, and the line loop raises the exact error.  With
+    `kept`, the tokens of the kept vertices, each mapped to its vertex,
+    only the edges with both ends kept are stored, and a piece with no
+    kept token among its first ends or among its second ends is done
+    once checked and split; with None, every edge, and each token is
+    stored in `tok` at its first use, so every occurrence of a vertex
+    shares one int object.  Never raises.
     """
-    if not _PLAIN.match(piece) or _BREAK.search(piece):
+    line, brk = canon
+    if not line.match(piece) or brk.search(piece):
         return False
     parts = piece.split()
     a, b = parts[1::3], parts[2::3]
-    n = len(adj)
-    digits = len(str(n))  # a longer canonical token is out of range, and int() may refuse it
-    for t in filterfalse(tok.__contains__, chain(a, b)):
-        if len(t) > digits or (v := int(t) - 1) >= n:
-            return False
-        tok[t] = v
-    if any(map(eq, a, b)):
-        return False
     pairs = zip(a, b)
-    if kept is not None:  # the few lines whose first end is kept, then both ends
+    if kept is not None:
+        # a piece with no kept token at one end stores nothing; edge lines
+        # usually come grouped by one end, so most pieces are such
+        if kept.keys().isdisjoint(b) or kept.keys().isdisjoint(a):
+            return True
+        # else the few lines whose first end is kept, then both ends
         pairs = [(x, y) for x, y in compress(pairs, map(kept.__contains__, a)) if y in kept]
+        tok = kept  # it maps every token of these pairs
+    get = tok.get
     for x, y in pairs:
-        u, v = tok[x], tok[y]
+        if (u := get(x)) is None:
+            u = tok[x] = int(x) - 1
+        if (v := get(y)) is None:
+            v = tok[y] = int(y) - 1
         adj[u].append(v)
         adj[v].append(u)
     return True

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -555,6 +556,22 @@ def test_census_script_runs():
     row = res.stdout.splitlines()[1].split()
     assert row[:2] == ["6", "0.50"]
     assert sum(map(int, row[5].split("/"))) == int(row[3])  # one near-obstruction kind per obstruction
+
+
+def test_read_timing_script_runs(tmp_path):
+    path = tmp_path / "g.col"
+    path.write_text(to_dimacs(generate(GenSpec("gnp", n=40, p=0.5, seed=1))))
+    script = os.path.join(ROOT, "scripts", "read_timing.py")
+    res = subprocess.run(
+        [sys.executable, script, str(path), "--repeats", "2"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    head, rule, row = res.stdout.splitlines()
+    assert head == "| file | size | full read | keep read |"
+    name, size, *reads = (c.strip() for c in row.strip("|").split("|"))
+    assert name == "g.col" and size.endswith(" MB")
+    assert len(reads) == 2 and all(re.fullmatch(r"[0-9.]+ → [0-9.]+ ms", c) for c in reads), row
 
 
 def test_module_entry_point():

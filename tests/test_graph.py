@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import signal
 import sys
 import time
@@ -707,6 +708,96 @@ def test_keep_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
 @DIMACS
 def test_full_parse_takes_plain_pieces_in_bulk(monkeypatch, fmt, fault):
     check_plain_pieces_in_bulk(monkeypatch, fault, None)
+
+
+def in_range(n: int, tokens: list[str]) -> list[str]:
+    """The tokens that the canonical line's endpoint alternation for n matches whole."""
+    return re.findall(f"^(?:{graph._upto(n)})$", "\n".join(tokens), re.M)
+
+
+def test_endpoint_alternation_matches_exactly_one_to_n():
+    for n in range(3001):
+        tokens = [str(t) for t in range(n + 31)] + [str(10 * n)]
+        assert in_range(n, tokens) == [t for t in tokens if 1 <= int(t) <= n], n
+    rng = random.Random("range")
+    for _ in range(200):
+        n = rng.randint(1, sys.maxsize)
+        near = [n + d for k in range(len(str(n))) for d in (-10 ** k, 10 ** k)]
+        tokens = [str(t) for t in [0, 1, n - 1, n, n + 1, 10 * n, rng.randint(1, 10 * n), *near] if t >= 0]
+        assert in_range(n, tokens) == [t for t in tokens if 1 <= int(t) <= n], n
+    for n in (1, 9, 10, 998, 2000, sys.maxsize):
+        assert in_range(n, ["0", "00", "01", "007", f"0{n}", "+1", "-1", "٣", "1٣", " 1", ""]) == []
+
+
+# A line that fits a plain line's width, put on line `offset` of a plain
+# piece (0: its first line, which the piece's `match` checks; any later
+# line is met by its `search`), and whether the bulk route takes it
+BULK_BOUNDARIES = {
+    "loop first": ("123 123", 0, False),
+    "loop later": ("456 456", 3, False),
+    "n first": ("998 123", 0, True),
+    "n later": ("123 998", 3, True),
+    "n + 1": ("123 999", 3, False),
+    "longer than n": ("1000 12", 3, False),
+}
+
+
+@pytest.mark.parametrize("case", BULK_BOUNDARIES)
+@pytest.mark.parametrize("keep", [None, {0, 122, 455, 997}])
+def test_bulk_boundaries_match_reference(monkeypatch, case, keep):
+    body, offset, taken = BULK_BOUNDARIES[case]
+    spy = []
+    bulk = graph._plain_edges
+
+    def spied(piece, *args):
+        spy.append(bulk(piece, *args))
+        return spy[-1]
+
+    monkeypatch.setattr(graph, "_plain_edges", spied)
+    monkeypatch.setattr(graph, "_SLICE", 100)
+    rng = random.Random("boundary")
+    lines = ["p edge 998 400"] + [f"e {u} {v}" for u, v in (rng.sample(range(100, 998), 2) for _ in range(400))]
+    text = "\n".join(lines) + "\n"
+    pieces = list(graph._cut(text[i:i + 100] for i in range(0, len(text), 100)))
+    k = 5  # `body` goes to pieces[k + 1], whose call is spy[k]: the header's piece is never offered
+    assert pieces[0] == lines[0] + "\n" and offset < pieces[k + 1].count("\n") - 1
+    at = sum(p.count("\n") for p in pieces[:k + 1]) + offset + 1
+    lines[at - 1] = "e " + body
+    text = "\n".join(lines) + "\n"
+    want = reference_outcome(text, keep)
+    assert view(keep_read(text, keep)) == want
+    assert spy[k] is taken and all(spy[:k]) and all(spy[k + 1:])
+    if taken:
+        assert isinstance(want[0], int)
+    else:
+        assert want[:2] == (GraphParseError, at)
+
+
+def test_canonical_text_after_the_header_is_stored_in_bulk(monkeypatch):
+    """Every line after line 1 of `to_dimacs` text is stored by `_plain_edges`, in small graphs too.
+
+    The small graphs are those of the bench's small-batch stream, G(n, p)
+    with n in 8..60, whose text is one block; the last one spans blocks.
+    """
+    stored = []
+    bulk = graph._plain_edges
+
+    def spied(piece, *args):
+        taken = bulk(piece, *args)
+        stored.append(piece.count("\n") if taken else 0)
+        return taken
+
+    monkeypatch.setattr(graph, "_plain_edges", spied)
+    rng = random.Random("small-batch")
+    specs = [GenSpec("gnp", n=rng.randint(8, 60), p=rng.choice((0.2, 0.5, 0.8)), seed=k) for k in range(30)]
+    specs.append(GenSpec("gnp", n=150, p=0.5, seed=1))
+    for spec in specs:
+        text = to_dimacs(generate(spec))
+        for read in (parse, lambda t: parse_stream(io.StringIO(t)), lambda t: parse_stream(io.StringIO(t), {0, 3})):
+            stored.clear()
+            read(text)
+            assert sum(stored) == text.count("\n") - 1, spec
+    assert len(text) > graph._SLICE
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():

@@ -7,11 +7,12 @@ import ast
 import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 
 import meyniel
-from meyniel.graph import _BREAK, _PLAIN, Graph
+from meyniel.graph import Graph, _canonical
 
 PACKAGE = pathlib.Path(meyniel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -153,5 +154,6 @@ def test_plain_patterns_compile_on_the_lowest_declared_python():
     """Possessive quantifiers and atomic groups came to `re` in 3.11; before, they fail to compile."""
     if lowest_python() >= (3, 11):
         pytest.skip("the declared Python has the 3.11 regex syntax")
-    for pattern in (_PLAIN, _BREAK):
-        assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
+    for n in (0, 1, 9, 10, 998, 2000, 99_999, sys.maxsize):
+        for pattern in _canonical(n):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
