@@ -7,8 +7,10 @@ arise from random graphs, near obstructions are also synthesized
 directly, which reaches every closing branch of near_to_obstruction.
 """
 
+import hashlib
 import random
 from collections import Counter
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,48 @@ def test_chord_outcomes_of_reduce_bad_path(outcome, fwd):
     mid, hits, forward, backward = CHORD_OUTCOMES[outcome]
     want = forward if fwd or backward is None else backward
     assert check_round(*synthetic_bad_path(9, mid, hits, fwd)) == want
+
+
+def every_near(top):
+    """Every sound near obstruction on 4, 6, ..., top path vertices: (g, near).
+
+    The path is 0..n-1 and the apex n.  Each kind comes with every chord
+    position it allows and every set of inner vertices its apex may hit.
+    """
+    for n in range(4, top + 1, 2):
+        for kind, mids in ((1, [1]), (2, [2]), (3, [None, *range(2, n - 2)]), (4, [None, *range(3, n - 2)])):
+            if kind == 2 and n < 6:
+                continue
+            for mid, inner in product(mids, product((False, True), repeat=n - 2)):
+                hits = (True, *inner, True)
+                if (kind == 1 and (hits[1] or hits[2]) or kind == 2 and hits[1] and hits[3]
+                        or kind == 3 and hits[1] or kind == 4 and (not hits[1] or hits[2])):
+                    continue
+                es = [(t, t + 1) for t in range(n - 1)] + [(n, t) for t in range(n) if hits[t]]
+                if mid is not None:
+                    es.append((mid - 1, mid + 1))
+                yield build(n + 1, es), NearObstruction(tuple(range(n)), mid, n, kind)
+
+
+# sha256 of the repr of every result in the test below, pinned before the
+# reduction round and the closing shared their first-touch case split
+EVERY_CUT_SHA256 = "7fbd4da663c02d424fb2f3e4392eb8e8ef4aea086002ce4ef8d89710874499e3"
+
+
+def test_every_small_round_and_closing_is_pinned():
+    """Every round of synthetic_bad_path up to 11 vertices and every closing up to 14, exactly."""
+    digest = hashlib.sha256()
+    rounds = closings = 0
+    for p in (3, 5, 7, 9, 11):
+        for mid, bits, fwd in product((None, *range(1, p - 2)), product((0, 1), repeat=p - 1), (True, False)):
+            g, _, view, bp, z = synthetic_bad_path(p, mid, set(compress(range(p - 1), bits)), fwd)
+            digest.update(repr(reduce_bad_path(g, view, bp, z)).encode())
+            rounds += 1
+    for g, near in every_near(14):
+        digest.update(repr(near_to_obstruction(g, near)).encode())
+        closings += 1
+    assert (rounds, closings) == (22760, 46420)
+    assert digest.hexdigest() == EVERY_CUT_SHA256
 
 
 @st.composite
