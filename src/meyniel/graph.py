@@ -398,7 +398,7 @@ def _parse(pieces, keep=None) -> list:
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
     ids = kept = None  # with keep: the kept vertices, and their canonical tokens mapped to them
-    canon = None  # the canonical line's patterns, built from the header's n
+    canon = None  # the break pattern of canonical lines, built from the header's n
     ln = 0
     for piece in pieces:
         if canon is not None and _plain_edges(piece, canon, tok, kept, adj):
@@ -434,19 +434,20 @@ def _parse(pieces, keep=None) -> list:
     return adj
 
 
-def _canonical(n: int) -> tuple[re.Pattern, re.Pattern]:
-    """The patterns of a canonical edge line for n vertices: (line, break).
+def _canonical(n: int) -> re.Pattern:
+    """The break pattern of canonical edge lines for n vertices.
 
     A canonical line is "e", two distinct ASCII-digit tokens in 1..n
-    without a leading zero, single spaces and "\n".  A piece is plain when
-    `line` matches its first line and `break`, a "\n" that neither ends
-    the piece nor starts a canonical line, is not found.  A search keeps
-    the regex engine's memory constant, where a fullmatch of `(?:line)*`
-    would stack state per line.
+    without a leading zero, single spaces and "\n".  A break is a "\n"
+    that neither ends the text nor starts a canonical line, so a piece
+    is plain when "\n" + piece holds no break: the prepended "\n" puts
+    the first line to the same check.  A search keeps the regex engine's
+    memory constant, where a fullmatch of `(?:line)*` would stack state
+    per line.  One pattern is compiled per parse.
     """
     x = _upto(n)
     line = f"e ({x}) (?!\\1\n)(?:{x})\n"  # the second token is not the first
-    return re.compile(line), re.compile(f"\n(?!{line}|\\Z)")
+    return re.compile(f"\n(?!{line}|\\Z)")
 
 
 def _upto(n: int) -> str:
@@ -471,11 +472,11 @@ def _upto(n: int) -> str:
     return "|".join(alts)
 
 
-def _plain_edges(piece: str, canon: tuple, tok: dict, kept: dict | None, adj: list) -> bool:
+def _plain_edges(piece: str, canon: re.Pattern, tok: dict, kept: dict | None, adj: list) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
-    `canon` is `_canonical(n)`.  Its patterns check what the line loop
-    would on each line: both tokens are in 1..n and differ.  Any other
+    `canon` is `_canonical(n)`.  One search of it checks what the line
+    loop would on each line: both tokens are in 1..n and differ.  Any other
     piece is declined, and the line loop raises the exact error.  With
     `kept`, the tokens of the kept vertices, each mapped to its vertex,
     only the edges with both ends kept are stored, and a piece with no
@@ -484,8 +485,7 @@ def _plain_edges(piece: str, canon: tuple, tok: dict, kept: dict | None, adj: li
     stored in `tok` at its first use, so every occurrence of a vertex
     shares one int object.  Never raises.
     """
-    line, brk = canon
-    if not line.match(piece) or brk.search(piece):
+    if canon.search("\n" + piece):
         return False
     parts = piece.split()
     a, b = parts[1::3], parts[2::3]

@@ -15,10 +15,10 @@ the prefix x_1..x_{i-1} and no later entry does.  Each round picks an
 attachment vertex z next to x_i and either rewrites the path at a
 strictly smaller index or produces a *near obstruction*: an even path
 w_0, ..., w_p (again at most one short chord) plus an apex z adjacent to
-both ends.  A final case analysis on where the apex first touches the
-path closes the cycle: one case split serves kinds 1-3, where the apex
-misses w_1 (a kind-2 apex on w_1 is first rerouted through the chord),
-and a second serves kind 4, whose apex hits w_1.  Every step is pure
+both ends.  A round and the closing of kinds 1-3 make one move, `_cut`:
+cut the path where the apex first touches it, then keep the prefix or
+hand on the tail from there as a smaller near obstruction.  Kind 4,
+whose apex hits w_1, closes by a split of its own.  Every step is pure
 bookkeeping over edges, so a failed invariant raises
 InternalInvariantError instead of returning a wrong certificate, and the
 pipelines in `app` verify the emitted cycle before it leaves.
@@ -80,8 +80,8 @@ class NearObstruction(NamedTuple):
       3: no chord at w_1; apex misses w_1
       4: no chord at w_1 or w_2; apex hits w_1 but not w_2
 
-    Kinds 1, 2 and 3 close by one case split; only kind 2 with the apex
-    on w_1 first reroutes through the chord, to kind 3.
+    Kinds 1-3 close by `_cut`, as a reduction round cuts (kind 2 with the
+    apex on w_1 first reroutes to kind 3); kind 4 by a split of its own.
     """
 
     verts: tuple[int, ...]
@@ -160,9 +160,9 @@ def reduce_bad_path(
 
     If the landing vertex x_j sees both z and v_1 the path closes into a
     near obstruction with apex z.  Otherwise exactly one of them sees
-    x_j, which fixes the orientation of the rewritten path; the case
-    split on k (where z first touches the path) against the chord
-    position keeps the rewritten path odd with at most one short chord.
+    x_j, which fixes the orientation of the rewritten path; `_cut` at z's
+    first touch keeps it odd with at most one short chord, or hands on
+    the tail as a near obstruction (of kind 3 where `_cut` gives None).
     """
     vs = bp.verts
     mid = bp.chord_mid
@@ -182,35 +182,13 @@ def reduce_bad_path(
         return NearObstruction(verts=(xj,) + vs, chord_mid=nmid, apex=z, kind=kind)
 
     orient_fwd = fz == j
-    k = _first_touch(g, z, vs, 0) + 1
-
-    core: tuple[int, ...]
-    pair: tuple[int, int] | None
-    if k % 2 == 1:
-        core = vs[:k]
-        pair = (vs[mid - 1], vs[mid + 1]) if mid is not None and mid <= k - 2 else None
-    elif mid is not None and mid <= k - 2:
-        # chord inside the kept stretch: splice it in as a path edge
-        core = vs[:mid] + vs[mid + 1:k]
-        pair = None
-    elif mid == k - 1:
-        if not g.has_edge(z, vs[k]):
-            return NearObstruction(vs[k - 1:], None, z, 3)
-        if g.has_edge(z, vs[k + 1]):
-            core = vs[:k - 1] + (vs[k], vs[k + 1])
-            pair = (z, vs[k])
-        else:
-            return NearObstruction(vs[k - 1:], None, z, 4)
-    else:
-        # chord absent, starting at the landing vertex vs[k-1], or beyond it
-        if g.has_edge(z, vs[k]):
-            core = vs[:k + 1]
-        elif mid == k and g.has_edge(z, vs[k + 1]):
-            core = vs[:k] + (vs[k + 1],)
-        else:
-            nmid = None if mid is None else mid - (k - 1)
-            return NearObstruction(vs[k - 1:], nmid, z, 1 if nmid == 1 else 3)
-        pair = (z, vs[k - 1])
+    t = _first_touch(g, z, vs, 0)
+    cut = _cut(g, z, vs, mid, t, 0)
+    if cut is None:
+        return NearObstruction(vs[t:], None, z, 3)
+    if isinstance(cut, NearObstruction):
+        return cut
+    core, pair = cut
 
     if orient_fwd:
         nverts = core + (z, xj)
@@ -249,6 +227,39 @@ def _first_touch(g: Graph, z: int, path: tuple[int, ...], lo: int) -> int:
     raise InternalInvariantError(f"apex {z} touches the path nowhere from position {lo}")
 
 
+def _cut(
+    g: Graph, z: int, path: tuple[int, ...], mid: int | None, t: int, odd: int
+) -> tuple | NearObstruction | None:
+    """Cut `path` at t, where z first touches it; the chord at `mid`.
+
+    When t % 2 == odd the prefix path[:t + 1] is kept (odd is 0 for a
+    round, 1 for a closing); else the chord's middle vertex is spliced
+    out or one vertex past t added.  Returns (kept path, the one chord it
+    keeps or gains, or None); or the tail path[t:] as a near obstruction,
+    of kind 4 when the chord skips path[t], else 1 or 3; or None when the
+    chord skips path[t] and z misses path[t + 1], where callers differ.
+    """
+    if t % 2 == odd:
+        keep = mid is not None and mid < t
+        return path[:t + 1], (path[mid - 1], path[mid + 1]) if keep else None
+    if mid is not None and mid < t:
+        # chord inside the kept stretch: splice it in as a path edge
+        return path[:mid] + path[mid + 1:t + 1], None
+    if mid == t:
+        if not g.has_edge(z, path[t + 1]):
+            return None
+        if g.has_edge(z, path[t + 2]):
+            return path[:t] + (path[t + 1], path[t + 2]), (z, path[t + 1])
+        return NearObstruction(path[t:], None, z, 4)
+    # chord absent, starting at path[t], or beyond it
+    if g.has_edge(z, path[t + 1]):
+        return path[:t + 2], (z, path[t])
+    if mid == t + 1 and g.has_edge(z, path[t + 2]):
+        return path[:t + 1] + (path[t + 2],), (z, path[t])
+    nmid = None if mid is None else mid - t
+    return NearObstruction(path[t:], nmid, z, 1 if nmid == 1 else 3)
+
+
 def _emit(cyc: tuple[int, ...], pair: tuple[int, int] | None) -> MeynielObstruction:
     chord = None if pair is None else (min(pair), max(pair))
     return MeynielObstruction(cycle=tuple(cyc), chord=chord)
@@ -260,17 +271,14 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
     r is where the apex first touches the path (from w_3 on for kind 4,
     since there it hits w_1 by definition).  Kind 4 closes by its own
     split.  Kind 2 with r = 1 reroutes through the chord to kind 3, and
-    kinds 1, 2 and 3 then share one split: odd r closes directly; even
-    r drops the chord's middle vertex, closes through the chord or the
-    apex, or restarts on the tail w_r.. with a smaller near obstruction.
+    kinds 1, 2 and 3 then take `_cut` at r: the apex closes the kept
+    prefix, or the tail w_r.. restarts; where `_cut` gives None, the
+    cycle runs through the chord and back along w_{r+1} w_r.
     """
-    w = near.verts
-    mid = near.chord_mid
-    z = near.apex
-    kind = near.kind
-    if kind not in (1, 2, 3, 4):
-        raise InternalInvariantError(f"unknown near obstruction kind {kind}")
+    if near.kind not in (1, 2, 3, 4):
+        raise InternalInvariantError(f"unknown near obstruction kind {near.kind}")
     while True:
+        w, mid, z, kind = near
         r = _first_touch(g, z, w, 3 if kind == 4 else 1)
 
         if kind == 4:
@@ -284,30 +292,15 @@ def near_to_obstruction(g: Graph, near: NearObstruction) -> MeynielObstruction:
 
         if kind == 2 and r == 1:
             # apex hits w_1, hence misses w_3: reroute through the chord
-            w, mid, kind = (w[1],) + w[3:], None, 3
+            near = NearObstruction((w[1],) + w[3:], None, z, 3)
             continue
 
-        if r % 2 == 1:
-            keep = mid is not None and mid + 1 <= r
-            return _emit((z,) + w[:r + 1], (w[mid - 1], w[mid + 1]) if keep else None)
-        if mid is not None and mid < r:
-            return _emit((z,) + w[:mid] + w[mid + 1:r + 1], None)
-        if mid == r:
-            if not g.has_edge(z, w[r + 1]):
-                return _emit((z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
-            if g.has_edge(z, w[r + 2]):
-                return _emit((z,) + w[:r] + (w[r + 1], w[r + 2]), (z, w[r + 1]))
-            w, mid, kind = w[r:], None, 4
-            continue
-        if g.has_edge(z, w[r + 1]):
-            return _emit((z,) + w[:r + 2], (z, w[r]))
-        if mid == r + 1 and g.has_edge(z, w[r + 2]):
-            return _emit((z,) + w[:r + 1] + (w[r + 2],), (z, w[r]))
-        # the apex misses w_{r+1} (and w_{r+2} when the chord starts at
-        # w_r): the tail is a near obstruction of kind 1 or 3
-        w = w[r:]
-        mid = None if mid is None else mid - r
-        kind = 3
+        cut = _cut(g, z, w, mid, r, 1)
+        if cut is None:
+            return _emit((z,) + w[:r] + (w[r + 1], w[r]), (w[r - 1], w[r]))
+        if not isinstance(cut, NearObstruction):
+            return _emit((z,) + cut[0], cut[1])
+        near = cut
 
 
 def extract_obstruction(

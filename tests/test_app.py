@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from meyniel import graph
+from meyniel import graph, obstruction
 from meyniel.app import color_via_stable_sets, main, robust_solve, robust_stable_set
 from meyniel.certify import (
     CertificateInvalidError,
@@ -33,6 +35,7 @@ from conftest import (
     graphs,
     is_strong_stable_set,
     naive_lex_color,
+    random_graph,
     split_reads,
 )
 
@@ -546,16 +549,40 @@ def test_import_leaves_oracle_unloaded():
     assert res.returncode == 0, res.stderr
 
 
-def test_census_script_runs():
+def test_census_script_runs(monkeypatch):
     script = os.path.join(ROOT, "scripts", "obstruction_census.py")
     res = subprocess.run(
-        [sys.executable, script, "--ns", "6", "--ps", "0.5", "--per-cell", "5"],
+        [sys.executable, script, "--ns", "6,20", "--ps", "0.2", "--per-cell", "30"],
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    row = res.stdout.splitlines()[1].split()
-    assert row[:2] == ["6", "0.50"]
-    assert sum(map(int, row[5].split("/"))) == int(row[3])  # one near-obstruction kind per obstruction
+    rows = [line.split() for line in res.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["6", "0.20"], ["20", "0.20"]]
+    for row in rows:
+        obstructed = int(row[3])
+        assert sum(map(int, row[5].split("/"))) == obstructed  # one near-obstruction kind per obstruction
+        if obstructed:
+            mean, top = row[6].split("/")
+            assert 1 <= float(mean) <= int(top)
+        else:
+            assert row[6] == "-"
+    assert int(rows[1][6].split("/")[1]) > 1  # some obstruction took several rounds
+    # the rounds counted are those robust_solve itself makes
+    spec = importlib.util.spec_from_file_location("obstruction_census", script)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    calls = []
+    real = obstruction.reduce_bad_path
+    monkeypatch.setattr(obstruction, "reduce_bad_path", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(6)
+    counts = []
+    while len(counts) < 30:
+        g = random_graph(rng, 20, 0.2)
+        calls.clear()
+        if isinstance(robust_solve(g), MeynielObstruction):
+            counts.append(len(calls))
+            assert census.near_stages(g)[1] == len(calls)
+    assert max(counts) > 1
 
 
 def test_read_timing_script_runs(tmp_path):

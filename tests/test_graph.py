@@ -800,6 +800,16 @@ def test_canonical_text_after_the_header_is_stored_in_bulk(monkeypatch):
     assert len(text) > graph._SLICE
 
 
+def test_one_parse_compiles_one_pattern(monkeypatch):
+    """The bulk route's checks are one pattern, so `re`'s cache of 512 serves 512 vertex counts."""
+    text = to_dimacs(generate(GenSpec("gnp", n=40, p=0.5, seed=1)))
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
+    parse(text)
+    assert len(compiled) == 1
+
+
 def test_parse_stream_joins_one_long_line_in_linear_time():
     # 125,000 blocks without a "\n", from a file and from a str.  On a
     # 2-core Xeon each read takes about 0.1 s; a reader that re-joined its
