@@ -5,8 +5,9 @@ The solver emits three certificate types, together the union
 MeynielObstruction, or a NiceStableSetCert.  Each is re-checkable here
 against the graph alone, by direct definition.  The verifiers
 deliberately share no code with the procedures that construct the
-certificates: a coloring is checked edge by edge, a clique pair by pair,
-an obstruction cycle by walking it.  `encode`/`decode` give a stable JSON wire form; decoding
+certificates: a coloring is checked edge by edge, a clique by counting
+each member's neighbors among the others, an obstruction cycle by
+walking it.  `encode`/`decode` give a stable JSON wire form; decoding
 always re-verifies, so a tampered document cannot round-trip.
 """
 
@@ -112,12 +113,18 @@ def verify_coloring(g: Graph, coloring) -> Verdict:
 
 
 def verify_clique(g: Graph, clique) -> Verdict:
+    """Distinct in-range vertices, pairwise adjacent; reads each member's list once when valid."""
     vs = list(clique)
     if len(set(vs)) != len(vs):
         return _bad("clique has repeated vertices")
     for v in vs:
         if not 0 <= v < g.n:
             return _bad(f"clique vertex {v} out of range")
+    # each vertex must see the k - 1 others: one read of each list decides,
+    # and only a failed count scans the pairs, to name the first non-edge
+    on, k = set(vs), len(vs)
+    if all(len(on.intersection(g.neighbors(u))) == k - 1 for u in vs):
+        return _ok()
     for i, u in enumerate(vs):
         for v in vs[i + 1:]:
             if not g.has_edge(u, v):

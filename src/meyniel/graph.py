@@ -1,10 +1,13 @@
 """Simple undirected graphs: construction, parsing and serialization.
 
-Vertices are 0..n-1.  Adjacency is one ascending neighbor tuple per
-vertex: neighbor iteration is a tuple walk and membership is a binary
-search.  Parsing and `build` fill per-vertex lists in one pass over the
-edges, so input costs O(n + m) plus the per-vertex sort.  Graphs are
-immutable once built.
+Vertices are 0..n-1.  Adjacency is one ascending `array("I")` of
+neighbors per vertex, 4 bytes per stored edge end: neighbor iteration
+is an array walk and membership is a binary search.  Parsing and `build`
+fill the per-vertex arrays in one pass over the edges, so input costs
+O(n + m) plus the per-vertex sort of any array that is not already
+strictly ascending.  Every vertex without a neighbor shares one empty
+array.  Graphs are immutable once built: the arrays are read-only by
+contract.
 
 One streaming loop parses DIMACS text.  It takes the text as
 pieces of about 16 KiB, each ending just after a "\n", so only one
@@ -18,23 +21,25 @@ checks every line's shape, endpoint range and self-loop at once, and
 the piece is then split once.  Any other piece takes the line loop,
 whose hot branch takes edge lines; every other line (header, comment,
 blank or malformed) goes to one cold helper.  Both routes intern
-endpoint tokens: a token seen before costs one dict lookup, and every
-occurrence of it shares one int object in the neighbor tuples.  The
-token dict lives until the graph is built; it is largest when every
-token is distinct, as in a perfect matching.
+endpoint tokens: a token seen before costs one dict lookup.  A vertex's
+array is made where its first token is interned, so a header alone
+allocates one list of n `None`s and no per-vertex object.  The token
+dict lives until the graph is built; it is largest when every token is
+distinct, as in a perfect matching.
 
 `parse_stream` can also keep a set S of vertices: it returns G[S], the
 subgraph induced by S, padded to n vertices, so every vertex outside S
-gets `()`.  `meyniel verify` reads an obstruction's graph this way,
-keeping the cycle.  The pieces, their checks and errors are the same.
+gets the empty array.  `meyniel verify` reads an obstruction's graph
+this way, keeping the cycle.  The pieces, their checks and errors are
+the same.
 
 `parse_split` reads a large regular file on two cores.  When line 1 is
 the header, it cuts the file just after the first "\n" at or past its
 middle byte and forks one child.  The parent runs the parse loop over
 the first half, and the child over the header line followed by the
 second half.  Through a pipe the child sends the length of each
-vertex's neighbor list, then the lists; the parent adds them to its own
-before building the graph.
+vertex's neighbor array, then the arrays' bytes; the parent reads them
+straight onto its own arrays before building the graph.
 A cut after "\n" is a line boundary, and no UTF-8 sequence contains a
 "\n" byte, so each line lands whole in one half.  Should anything fail,
 `parse_split` returns None, and the caller's serial `parse_stream`
@@ -55,7 +60,8 @@ from bisect import bisect_left
 from codecs import getincrementaldecoder
 from collections import deque
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
+from operator import lt
 
 
 class GraphInputError(ValueError):
@@ -75,8 +81,8 @@ class Graph:
 
     __slots__ = ("n", "m", "_nbrs")
 
-    def __init__(self, nbrs: tuple[tuple[int, ...], ...]):
-        """`nbrs[v]` must be v's neighbors, ascending, symmetric, loop-free."""
+    def __init__(self, nbrs: tuple[array, ...]):
+        """`nbrs[v]` must be v's neighbors as an `array("I")`, ascending, symmetric, loop-free."""
         self.n = len(nbrs)
         self._nbrs = nbrs
         self.m = sum(map(len, nbrs)) // 2
@@ -91,8 +97,8 @@ class Graph:
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in ascending order."""
+    def neighbors(self, v: int) -> array:
+        """Neighbors of v in ascending order, as the graph's own `array("I")`: read it, never change it."""
         if v < 0:
             raise IndexError(f"vertex {v} out of range")
         return self._nbrs[v]
@@ -115,26 +121,38 @@ class Graph:
         if old_of and not (0 <= old_of[0] and old_of[-1] < self.n):
             raise GraphInputError(f"subgraph vertices must be in 0..{self.n - 1}")
         pos = {old: i for i, old in enumerate(old_of)}
-        # old_of is ascending, so pos is monotone and each kept tuple
+        # old_of is ascending, so pos is monotone and each kept array
         # stays ascending and duplicate-free: no re-sort, no re-check
         nbrs = self._nbrs
-        h = Graph(tuple(tuple([pos[w] for w in nbrs[old] if w in pos]) for old in old_of))
+        h = Graph(tuple(array("I", [pos[w] for w in nbrs[old] if w in pos]) for old in old_of))
         return h, tuple(old_of)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._nbrs == other._nbrs
 
     def __hash__(self) -> int:
-        return hash(self._nbrs)
+        # arrays are unhashable; equal graphs have equal n and m
+        return hash((self.n, self.m))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+_EMPTY = array("I")  # the neighbors of every vertex with none
+
+
 def _freeze(adj: list) -> Graph:
-    # in place, so each list is freed as soon as its tuple exists
+    """The graph of per-vertex arrays; None or any empty entry means no neighbor.
+
+    A strictly ascending array is kept as it is, as the arrays of sorted
+    DIMACS text are; any other is sorted and its repeats dropped, in
+    place, so each replaced array is freed as soon as its successor exists.
+    """
     for v, a in enumerate(adj):
-        adj[v] = tuple(sorted(set(a)))
+        if not a:  # None, the keep read's sink, or an empty array
+            adj[v] = _EMPTY
+        elif not all(map(lt, a, islice(a, 1, None))):
+            adj[v] = array("I", sorted(set(a)))
     return Graph(tuple(adj))
 
 
@@ -145,16 +163,15 @@ def build(n: int, edges) -> Graph:
     """
     if n < 0:
         raise GraphInputError(f"vertex count must be >= 0, got {n}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    ids = list(range(n))  # one int object per vertex, shared by every neighbor tuple
+    adj = [array("I") for _ in range(n)]
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphInputError(f"self-loop at vertex {u}")
-        adj[u].append(ids[v])
-        adj[v].append(ids[u])
+        adj[u].append(v)
+        adj[v].append(u)
     return _freeze(adj)
 
 
@@ -178,9 +195,9 @@ def parse_stream(fh, keep=None) -> Graph:
 
     With `keep`, a set S of vertices, it returns the subgraph induced by
     S, padded to n vertices: only the edges with both ends in S are
-    stored, and every other vertex gets `()`.  The blocks and the route
-    each takes do not depend on `keep`, so the errors are the same as
-    without it.  Kept vertices outside 0..n-1 are ignored.
+    stored, and every other vertex gets the empty array.  The blocks and
+    the route each takes do not depend on `keep`, so the errors are the
+    same as without it.  Kept vertices outside 0..n-1 are ignored.
     """
     return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), keep))
 
@@ -236,7 +253,7 @@ def parse_split(fh, keep=None) -> Graph | None:
     child parses the header line followed by the rest.
 
     Returns None in every other case, and whenever either half raises,
-    the child dies or its lists end short: the caller then reads `fh`
+    the child dies or its arrays end short: the caller then reads `fh`
     with `parse_stream`, which reports any error of the input.  Both
     halves read by position, so `fh` is still at its start.  The child is
     reaped before this returns, and killed first unless it exited on its
@@ -270,7 +287,7 @@ def _probe(fd: int, size: int) -> tuple[str, int] | None:
     before the first "\n" (after a "\r", say) is parsed by both halves,
     and its edges are stored twice, which `_freeze` collapses.  A file
     with more vertices than bytes holds mostly isolated vertices, whose
-    lists the child would only allocate a second time.
+    zero lengths the child would only send.
     """
     block = os.pread(fd, _SLICE, 0)
     head = block[:block.find(b"\n") + 1].decode("utf-8")
@@ -320,7 +337,7 @@ def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
             _receive(stream, adj)
         status = os.waitpid(pid, 0)[1]
     finally:
-        if status is None:  # the parent failed or was interrupted, or the lists ended short
+        if status is None:  # the parent failed or was interrupted, or the arrays ended short
             from signal import SIGKILL  # only this path needs the module
 
             os.kill(pid, SIGKILL)
@@ -329,11 +346,11 @@ def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
 
 
 def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
-    """The forked child's whole life: parse from `mid` after `head`, send the lists, exit.
+    """The forked child's whole life: parse from `mid` after `head`, send the arrays, exit.
 
     It leaves only through `os._exit`, whatever is raised (a broken pipe
     included), so it runs no atexit handler and flushes none of the
-    caller's stdio; its status is 0 only once its last list is sent.
+    caller's stdio; its status is 0 only once its last array is sent.
     """
     code = 1
     try:
@@ -346,34 +363,32 @@ def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
 
 
 def _send(out, adj: list) -> None:
-    """Write the length of every vertex's list, then each nonempty list, as array("I") values."""
-    out.write(array("I", map(len, adj)))
+    """Write the length of every vertex's array (0 for None), then each nonempty array as it is."""
+    out.write(array("I", [len(a) if a else 0 for a in adj]))
     for a in filter(None, adj):
-        out.write(array("I", a))
+        out.write(a)
 
 
 def _receive(stream, adj: list) -> None:
-    """Extend `adj` by the lists `_send` wrote; EOFError if they end short.
+    """Read the arrays `_send` wrote onto the ends of `adj`'s; EOFError if they end short.
 
-    Every neighbor value is mapped through one list of n ints, so equal
-    values share one int object, as the parent's own lists do by the
-    token dict, which is freed by now.
+    A vertex the parent has not seen gets its array here.
     """
-    ids = list(range(len(adj)))
     lengths = array("I")
     lengths.fromfile(stream, len(adj))
-    for a, k in zip(adj, lengths):
+    for v, k in enumerate(lengths):
         if k:
-            vals = array("I")
-            vals.fromfile(stream, k)
-            a.extend(map(ids.__getitem__, vals))
+            if adj[v] is None:
+                adj[v] = array("I")
+            adj[v].fromfile(stream, k)
 
 
-def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str) -> tuple[int, int]:
+def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str, adj: list) -> tuple[int, int]:
     """0-based endpoints of tokens a, b of which at least one is new to `tok`.
 
     Checks as every edge line once did: bad int, then out of range.
-    Only tokens that pass are stored, so later lines find them in `tok`.
+    Only tokens that pass are stored, so later lines find them in `tok`,
+    and a vertex with no array in `adj` gets one.
     """
     try:
         u, v = int(a) - 1, int(b) - 1
@@ -381,19 +396,23 @@ def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str) -> tuple[in
         raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
     if not (0 <= u < n and 0 <= v < n):
         raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
+    for w in u, v:
+        if adj[w] is None:
+            adj[w] = array("I")
     return tok.setdefault(a, u), tok.setdefault(b, v)
 
 
 def _parse(pieces, keep=None) -> list:
     """The one pass over the pieces; `keep` as in `parse_stream`.
 
-    Returns the per-vertex neighbor lists, for `_freeze`.  After the
-    header each piece goes to `_plain_edges`, and one it declines to the
-    line loop.  With `keep`, the line loop stores a kept vertex's edges
-    to every vertex, and those to unkept ones are dropped at the end.
+    Returns the per-vertex neighbor arrays, for `_freeze`: None for a
+    vertex whose token never occurs.  After the header each piece goes
+    to `_plain_edges`, and one it declines to the line loop.  With
+    `keep`, the line loop stores a kept vertex's edges to every vertex,
+    and those to unkept ones are dropped at the end.
     """
     n = 0
-    adj = None  # per-vertex neighbor lists, created by the header line
+    adj = None  # per-vertex neighbor arrays, listed by the header line
     width = -1  # parts in an edge line; no line matches before the header
     tok: dict[str, int] = {}  # endpoint token -> 0-based vertex
     get = tok.get
@@ -410,7 +429,7 @@ def _parse(pieces, keep=None) -> list:
                 a, b = parts[1], parts[2]
                 u, v = get(a), get(b)
                 if u is None or v is None:
-                    u, v = _endpoints(tok, a, b, n, ln, raw)
+                    u, v = _endpoints(tok, a, b, n, ln, raw, adj)
                 if u == v:
                     raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
                 adj[u].append(v)
@@ -418,19 +437,19 @@ def _parse(pieces, keep=None) -> list:
             elif (count := _other_line(parts, raw, ln, adj is not None)) is not None:
                 n = count
                 if keep is None:
-                    adj = [[] for _ in range(n)]
+                    adj = [None] * n
                 else:  # one discarding sink for every vertex that is not kept
                     adj = [deque(maxlen=0)] * n
                     ids = {v for v in keep if 0 <= v < n}
                     for v in ids:
-                        adj[v] = []
+                        adj[v] = array("I")
                     kept = {str(v + 1): v for v in ids}
                 canon = _canonical(n)
                 width = 3
     if adj is None:
         raise GraphParseError(1, "missing problem line")
     for v in ids or ():
-        adj[v] = list(filter(ids.__contains__, adj[v]))
+        adj[v] = array("I", filter(ids.__contains__, adj[v]))
     return adj
 
 
@@ -482,8 +501,8 @@ def _plain_edges(piece: str, canon: re.Pattern, tok: dict, kept: dict | None, ad
     only the edges with both ends kept are stored, and a piece with no
     kept token among its first ends or among its second ends is done
     once checked and split; with None, every edge, and each token is
-    stored in `tok` at its first use, so every occurrence of a vertex
-    shares one int object.  Never raises.
+    stored in `tok` at its first use, where its vertex gets an array if
+    it has none.  Never raises.
     """
     if canon.search("\n" + piece):
         return False
@@ -502,8 +521,12 @@ def _plain_edges(piece: str, canon: re.Pattern, tok: dict, kept: dict | None, ad
     for x, y in pairs:
         if (u := get(x)) is None:
             u = tok[x] = int(x) - 1
+            if adj[u] is None:
+                adj[u] = array("I")
         if (v := get(y)) is None:
             v = tok[y] = int(y) - 1
+            if adj[v] is None:
+                adj[v] = array("I")
         adj[u].append(v)
         adj[v].append(u)
     return True
@@ -550,7 +573,7 @@ def dimacs_pieces(g: Graph):
     """The text of `to_dimacs(g)` in pieces: the header, then each vertex's edge lines.
 
     Edges come as (u, v) with u < v, lexicographically sorted, walked
-    straight from the neighbor tuples.
+    straight from the neighbor arrays.
     """
     yield f"p edge {g.n} {g.m}\n"
     for u, a in enumerate(g._nbrs, 1):  # 1-based u: the later neighbors are those >= u

@@ -221,8 +221,9 @@ def bad_path_to_near(
 
 def _first_touch(g: Graph, z: int, path: tuple[int, ...], lo: int) -> int:
     """The least position t >= lo with z adjacent to path[t]."""
+    near = set(g.neighbors(z))  # a set probe boxes no int, as a bisect of the array would
     for t in range(lo, len(path)):
-        if g.has_edge(z, path[t]):
+        if path[t] in near:
             return t
     raise InternalInvariantError(f"apex {z} touches the path nowhere from position {lo}")
 

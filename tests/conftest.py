@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import tempfile
+from array import array
 from bisect import insort
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -64,7 +65,7 @@ class CountingGraph(Graph):
     """`g` with its adjacency reads counted: 1 per `has_edge`, len + 1 per `neighbors`.
 
     Every pipeline stage reaches the graph only through these two
-    methods, and no caller scans a returned tuple twice, so `count`
+    methods, and no caller scans a returned array twice, so `count`
     bounds the adjacency work from above without a clock.
     """
 
@@ -78,7 +79,7 @@ class CountingGraph(Graph):
         self.count += 1
         return super().has_edge(u, v)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
+    def neighbors(self, v: int) -> array:
         a = super().neighbors(v)
         self.count += len(a) + 1
         return a

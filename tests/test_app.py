@@ -601,6 +601,26 @@ def test_read_timing_script_runs(tmp_path):
     assert len(reads) == 2 and all(re.fullmatch(r"[0-9.]+ → [0-9.]+ ms", c) for c in reads), row
 
 
+def test_cli_timing_script_runs(tmp_path):
+    path = tmp_path / "g.col"
+    path.write_text(to_dimacs(generate(GenSpec("gnp", n=12, p=0.5, seed=1))))
+    script = os.path.join(ROOT, "scripts", "cli_timing.py")
+    res = subprocess.run(
+        [sys.executable, script, ROOT, ROOT, "--repeats", "1", "--", "solve", str(path)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    title, blank, head, rule, *rows = res.stdout.splitlines()
+    assert title == f"`meyniel solve {path}`, medians of 1:" and blank == ""
+    assert head == "| tree | wall | CPU | peak RSS | exit |"
+    assert len(rows) == 2
+    for row in rows:
+        tree, wall, cpu, rss, code = (c.strip() for c in row.strip("|").split("|"))
+        assert tree == ROOT and code == "0", row
+        assert re.fullmatch(r"[0-9.]+ s", wall) and re.fullmatch(r"[0-9.]+ s", cpu), row
+        assert re.fullmatch(r"[0-9.]+ MB", rss) and float(rss.split()[0]) > 1, row
+
+
 def test_module_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "meyniel", "gen", "--family", "complete", "--n", "3"],

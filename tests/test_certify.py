@@ -24,7 +24,7 @@ from meyniel.certify import (
 from meyniel.graph import build
 from meyniel.app import robust_solve, robust_stable_set
 
-from conftest import assert_verify_matches_decode, graphs
+from conftest import CountingGraph, assert_verify_matches_decode, graphs
 
 
 def cycle_graph(n, chords=()):
@@ -99,6 +99,56 @@ class TestVerifyClique:
         g = build(3, [(0, 1)])
         v = verify_clique(g, [0, 1, 2])
         assert not v and "not adjacent" in v.reason
+
+    @staticmethod
+    def pairwise(g, clique) -> Verdict:
+        """The clique check as a scan of every pair, the reference for each reason."""
+        vs = list(clique)
+        if len(set(vs)) != len(vs):
+            return Verdict(False, "clique has repeated vertices")
+        for v in vs:
+            if not 0 <= v < g.n:
+                return Verdict(False, f"clique vertex {v} out of range")
+        for i, u in enumerate(vs):
+            for v in vs[i + 1:]:
+                if not g.has_edge(u, v):
+                    return Verdict(False, f"clique pair {u}-{v} not adjacent")
+        return Verdict(True)
+
+    def test_mutated_cliques_give_the_pair_scans_reasons(self):
+        # K_8 on 0..7; vertex 8 misses 2 and 6, vertex 9 misses only 0
+        rng = random.Random(5)
+        base = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        extra = [(8, v) for v in range(8) if v not in (2, 6)] + [(9, v) for v in range(1, 9)]
+        g = build(11, base + extra)
+        q = list(range(8))
+        rng.shuffle(q)
+        cases = [q, q[:5] + [9] + q[5:]]
+        for i in range(len(q)):
+            cases += [q[:i] + [8] + q[i + 1:], q[:i] + [9] + q[i + 1:], q[:i] + [10] + q[i:],
+                      q[:i] + [q[-1 - i]] + q[i:], q[:i] + [11] + q[i + 1:], q[:i] + [-1] + q[i:]]
+        for c in cases:
+            assert verify_clique(g, c) == self.pairwise(g, c), c
+        assert [c for c in cases if verify_clique(g, c)] == [q, [9 if v == 0 else v for v in q]]
+        for drop in base[::5]:  # the graph loses one clique edge
+            h = build(11, [e for e in base + extra if e != drop])
+            assert not verify_clique(h, q)
+            assert verify_clique(h, q) == self.pairwise(h, q), drop
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_matches_the_pair_scan(self, g, data):
+        c = data.draw(st.lists(st.integers(-1, g.n), max_size=g.n + 1))
+        assert verify_clique(g, c) == self.pairwise(g, c)
+        q = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(0, g.n))]
+        assert verify_clique(g, q) == self.pairwise(g, q)
+
+    def test_a_valid_clique_costs_one_read_of_each_members_list(self):
+        g = CountingGraph(build(60, [(u, v) for u in range(60) for v in range(u + 1, 60) if u < 25 or (u + v) % 3]))
+        q = list(range(25))
+        assert verify_clique(g, q)
+        # CountingGraph adds deg + 1 per neighbors read and 1 per has_edge
+        assert g.count == sum(g.degree(v) + 1 for v in q)
 
 
 def test_optimal_pair_size_check():

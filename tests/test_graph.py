@@ -8,6 +8,7 @@ import signal
 import sys
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,12 @@ from conftest import counted_forks, edge_list, graphs, reference_parse, split_re
 def assert_whole_graph(g) -> None:
     """g keeps the `Graph` constructor's contract, and its DIMACS text parses back to it.
 
-    Every tuple is ascending, loop-free and in range, every edge is
-    stored at both ends, and m is half the stored entries.
+    Every list is an `array("I")`, ascending, loop-free and in range,
+    every edge is stored at both ends, and m is half the stored entries.
     """
     nbrs = tuple(map(g.neighbors, range(g.n)))
     for v, a in enumerate(nbrs):
+        assert type(a) is array and a.typecode == "I", v
         assert list(a) == sorted(set(a)) and v not in a, v
         assert all(0 <= w < g.n and v in nbrs[w] for w in a), v
     assert 2 * g.m == sum(map(len, nbrs))
@@ -49,7 +51,7 @@ def test_build_basic():
     assert g.m == 2
     assert g.has_edge(0, 1) and g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
-    assert g.neighbors(1) == (0, 2)
+    assert tuple(g.neighbors(1)) == (0, 2)
     assert g.degree(3) == 0
     assert edge_list(g) == [(0, 1), (1, 2)]
 
@@ -289,10 +291,10 @@ def parse_outcome(parser, source):
 
 
 def view(got) -> tuple:
-    """n, m and every vertex's tuple of a graph, checked whole; an error as it is."""
+    """n, m and a tuple of every vertex's neighbors, the graph checked whole; an error as it is."""
     if isinstance(got, graph.Graph):
         assert_whole_graph(got)
-        return got.n, got.m, tuple(map(got.neighbors, range(got.n)))
+        return got.n, got.m, tuple(tuple(got.neighbors(v)) for v in range(got.n))
     return got
 
 
@@ -857,25 +859,76 @@ def test_parse_across_many_slices_matches_reference(fmt, fault):
 
 
 @DIMACS
-def test_parse_shares_one_int_per_vertex(fmt):
+def test_full_and_keep_reads_store_4_byte_arrays(fmt):
     src = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
-    g = parse(to_dimacs(src))
+    text = to_dimacs(src)
+    g = parse(text)
     assert g == src
-    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
+    assert_whole_graph(g)
+    keep = set(range(0, 1000, 3))
+    kept = parse_stream(io.StringIO(text), keep=keep)
+    assert_whole_graph(kept)
+    assert kept.m == src.subgraph(sorted(keep))[0].m
+    # a vertex with no stored edge holds the one shared empty array
+    assert {id(kept.neighbors(v)) for v in range(kept.n) if v not in keep} == {id(graph._EMPTY)}
 
 
-def test_split_read_shares_one_int_per_vertex_in_each_half(tmp_path):
-    """Each half interns its values: the parent by its token dict, the child's lists through `ids`."""
-    src = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
+def test_split_read_stores_4_byte_arrays_in_each_half(tmp_path):
+    """The parent reads the child's array bytes straight onto its own arrays.
+
+    Vertices 1000 and 1001 occur only in the last line, so only the
+    child sees them, and the parent makes their arrays as it reads.
+    """
+    g = generate(GenSpec("gnp", n=1000, p=0.1, seed=3))
+    src = build(1002, edge_list(g) + [(1000, 1001)])
     path = tmp_path / "g.txt"
     path.write_text(to_dimacs(src))
     with split_reads(), counted_forks() as forks:
         g = _read_graph(str(path))
     assert g == src and len(forks) == 1
-    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= 2 * g.n
+    assert_whole_graph(g)
 
 
 @pytest.mark.parametrize("family", ["gnp", "bipartite"])
-def test_generated_graphs_share_one_int_per_vertex(family):
+def test_built_graphs_store_4_byte_arrays(family):
     g = generate(GenSpec(family, n=600, p=0.5, seed=1))
-    assert len({id(x) for v in range(g.n) for x in g.neighbors(v)}) <= g.n
+    assert_whole_graph(g)
+    h, _ = g.subgraph(range(0, 600, 2))
+    assert_whole_graph(h)
+
+
+def test_full_read_stores_about_4_bytes_per_neighbor_entry():
+    """The graph a read keeps: measured 8.2 bytes per entry with tuples of shared ints, 4.3 with arrays."""
+    text = to_dimacs(generate(GenSpec("gnp", n=1000, p=0.5, seed=1)))
+    tracemalloc.start()
+    try:
+        g = parse(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 6 * 2 * g.m
+
+
+def test_header_alone_makes_no_array_per_vertex():
+    """A read's peak for "p edge 200000 0": measured 64 bytes a vertex with a list per vertex, 16 now.
+
+    The 16 are the list of n Nones and the graph's tuple; one empty
+    array alone takes 80 bytes.
+    """
+    n = 200_000
+    tracemalloc.start()
+    try:
+        g = parse(f"p edge {n} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.m == 0
+    assert peak < 24 * n
+
+
+def test_equal_graphs_hash_equal():
+    a = generate(GenSpec("gnp", n=40, p=0.3, seed=2))
+    b = parse(to_dimacs(a))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, build(40, [])}) == 2
+    assert {a} == {b}
