@@ -31,15 +31,21 @@ distinct, as in a perfect matching.
 subgraph induced by S, padded to n vertices, so every vertex outside S
 gets the empty array.  `meyniel verify` reads an obstruction's graph
 this way, keeping the cycle.  The pieces, their checks and errors are
-the same.
+the same, but a plain piece is split only when S has more than
+`_PICK_MAX` vertices.  Up to that, a second pattern, compiled once per
+parse from S's tokens, finds the lines with both ends in S by one search
+of the checked piece, in line order.
 
 `parse_split` reads a large regular file on two cores.  When line 1 is
 the header, it cuts the file just after the first "\n" at or past its
 middle byte and forks one child.  The parent runs the parse loop over
 the first half, and the child over the header line followed by the
-second half.  Through a pipe the child sends the length of each
-vertex's neighbor array, then the arrays' bytes; the parent reads them
-straight onto its own arrays before building the graph.
+second half.  Each half checks which of its arrays are strictly
+ascending.  Through a pipe the child then sends the length of each
+vertex's neighbor array, its checks, then the arrays' bytes; the parent
+reads them straight onto its own arrays.  It sorts only a joined array
+with a part that is not strictly ascending, or whose child part does not
+start above the parent's last entry, so the check runs in parallel.
 A cut after "\n" is a line boundary, and no UTF-8 sequence contains a
 "\n" byte, so each line lands whole in one half.  Should anything fail,
 `parse_split` returns None, and the caller's serial `parse_stream`
@@ -141,19 +147,27 @@ class Graph:
 _EMPTY = array("I")  # the neighbors of every vertex with none
 
 
-def _freeze(adj: list) -> Graph:
+def _freeze(adj: list, ascends: bytearray | None = None) -> Graph:
     """The graph of per-vertex arrays; None or any empty entry means no neighbor.
 
     A strictly ascending array is kept as it is, as the arrays of sorted
     DIMACS text are; any other is sorted and its repeats dropped, in
     place, so each replaced array is freed as soon as its successor exists.
+    `ascends` says which arrays are; by default `_ascents(adj)` checks them.
     """
+    if ascends is None:
+        ascends = _ascents(adj)
     for v, a in enumerate(adj):
         if not a:  # None, the keep read's sink, or an empty array
             adj[v] = _EMPTY
-        elif not all(map(lt, a, islice(a, 1, None))):
+        elif not ascends[v]:
             adj[v] = array("I", sorted(set(a)))
     return Graph(tuple(adj))
+
+
+def _ascents(adj: list) -> bytearray:
+    """One byte per vertex: 1 if its array is strictly ascending or empty, else 0."""
+    return bytearray(not a or all(map(lt, a, islice(a, 1, None))) for a in adj)
 
 
 def build(n: int, edges) -> Graph:
@@ -285,7 +299,7 @@ def _probe(fd: int, size: int) -> tuple[str, int] | None:
     at most `size` vertices; `mid` is the byte after the first "\n" at
     or past size // 2, when it precedes the last byte.  Any further line
     before the first "\n" (after a "\r", say) is parsed by both halves,
-    and its edges are stored twice, which `_freeze` collapses.  A file
+    and its edges are stored by both, which `_freeze` collapses.  A file
     with more vertices than bytes holds mostly isolated vertices, whose
     zero lengths the child would only send.
     """
@@ -334,7 +348,8 @@ def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
     try:
         with open(r, "rb") as stream:
             adj = _parse(_cut(_decoded(fd, 0, mid)), keep)
-            _receive(stream, adj)
+            ascends = _ascents(adj)
+            _receive(stream, adj, ascends)
         status = os.waitpid(pid, 0)[1]
     finally:
         if status is None:  # the parent failed or was interrupted, or the arrays ended short
@@ -342,7 +357,7 @@ def _parse_halves(fd: int, head: str, mid: int, keep) -> Graph | None:
 
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return _freeze(adj) if status == 0 else None
+    return _freeze(adj, ascends) if status == 0 else None
 
 
 def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
@@ -363,24 +378,32 @@ def _child(r: int, w: int, fd: int, head: str, mid: int, keep) -> None:
 
 
 def _send(out, adj: list) -> None:
-    """Write the length of every vertex's array (0 for None), then each nonempty array as it is."""
+    """Write the length of every vertex's array (0 for None), their `_ascents`, then each nonempty array as it is."""
     out.write(array("I", [len(a) if a else 0 for a in adj]))
+    out.write(_ascents(adj))
     for a in filter(None, adj):
         out.write(a)
 
 
-def _receive(stream, adj: list) -> None:
-    """Read the arrays `_send` wrote onto the ends of `adj`'s; EOFError if they end short.
+def _receive(stream, adj: list, ascends: bytearray) -> None:
+    """Read what `_send` wrote onto the ends of `adj`'s arrays; EOFError if it ends short.
 
-    A vertex the parent has not seen gets its array here.
+    `ascends` holds `_ascents(adj)` on entry, and on return says which
+    joined arrays are strictly ascending: those whose two parts are and
+    whose child part starts above the parent's last entry.  A vertex the
+    parent has not seen gets its array here.
     """
     lengths = array("I")
     lengths.fromfile(stream, len(adj))
+    theirs = stream.read(len(adj))  # short only at EOF, where the next array read raises
     for v, k in enumerate(lengths):
         if k:
-            if adj[v] is None:
-                adj[v] = array("I")
-            adj[v].fromfile(stream, k)
+            a = adj[v]
+            if a is None:
+                a = adj[v] = array("I")
+            last = a[-1] if a else -1
+            a.fromfile(stream, k)
+            ascends[v] = ascends[v] and theirs[v] and a[-k] > last
 
 
 def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str, adj: list) -> tuple[int, int]:
@@ -418,9 +441,10 @@ def _parse(pieces, keep=None) -> list:
     get = tok.get
     ids = kept = None  # with keep: the kept vertices, and their canonical tokens mapped to them
     canon = None  # the break pattern of canonical lines, built from the header's n
+    pick = None  # with at most _PICK_MAX kept tokens: the pattern of lines with both kept
     ln = 0
     for piece in pieces:
-        if canon is not None and _plain_edges(piece, canon, tok, kept, adj):
+        if canon is not None and _plain_edges(piece, canon, tok, kept, pick, adj):
             ln += piece.count("\n")
             continue
         for ln, raw in enumerate(piece.splitlines(), ln + 1):
@@ -444,6 +468,8 @@ def _parse(pieces, keep=None) -> list:
                     for v in ids:
                         adj[v] = array("I")
                     kept = {str(v + 1): v for v in ids}
+                    if len(kept) <= _PICK_MAX:
+                        pick = _kept_lines(kept)
                 canon = _canonical(n)
                 width = 3
     if adj is None:
@@ -491,32 +517,63 @@ def _upto(n: int) -> str:
     return "|".join(alts)
 
 
-def _plain_edges(piece: str, canon: re.Pattern, tok: dict, kept: dict | None, adj: list) -> bool:
+# A keep read of at most _PICK_MAX kept vertices finds the lines with
+# both ends kept by one search of `_kept_lines`; one of more kept
+# vertices splits each piece.  The search tries each kept token on every
+# line, so it slows as they grow.  Against the split, serial keep reads
+# with random kept sets of k vertices broke even between k = 24 and 32
+# on a 10.9 MB G(2000, 1/2), sorted or shuffled, and between 32 and 40 on
+# a 0.59 MB G(10^4, 10/n) (measured in the README).
+_PICK_MAX = 24
+
+
+def _kept_lines(kept: dict) -> re.Pattern:
+    """The pattern of a canonical line whose tokens are both in `kept`, from its preceding "\n".
+
+    Its two groups are the tokens.  The space after the first and the
+    "\n" after the second, which it does not consume, make each match a
+    whole token, so a search finds every such line of "\n" + piece.
+    """
+    x = "|".join(sorted(kept))
+    return re.compile(f"\ne ({x}) ({x})(?=\n)")
+
+
+def _plain_edges(piece: str, canon: re.Pattern, tok: dict, kept: dict | None,
+                 pick: re.Pattern | None, adj: list) -> bool:
     """Take a piece of canonical edge lines in bulk; else return False having stored no edge.
 
     `canon` is `_canonical(n)`.  One search of it checks what the line
     loop would on each line: both tokens are in 1..n and differ.  Any other
     piece is declined, and the line loop raises the exact error.  With
-    `kept`, the tokens of the kept vertices, each mapped to its vertex,
-    only the edges with both ends kept are stored, and a piece with no
-    kept token among its first ends or among its second ends is done
-    once checked and split; with None, every edge, and each token is
-    stored in `tok` at its first use, where its vertex gets an array if
-    it has none.  Never raises.
+    None for `kept`, every edge is stored, and each token is stored in
+    `tok` at its first use, where its vertex gets an array if it has none.
+    With `kept`, the tokens of the kept vertices, each mapped to its
+    vertex, only the edges with both ends kept are stored, in the order
+    of their lines.  With `pick`, `_kept_lines(kept)`, one search of it
+    finds them, and no line is split.  Without it, the piece is split,
+    and one with no kept token among its first ends or among its second
+    ends is done once split.  Never raises.
     """
-    if canon.search("\n" + piece):
+    text = "\n" + piece
+    if canon.search(text):
         return False
-    parts = piece.split()
-    a, b = parts[1::3], parts[2::3]
-    pairs = zip(a, b)
-    if kept is not None:
-        # a piece with no kept token at one end stores nothing; edge lines
-        # usually come grouped by one end, so most pieces are such
-        if kept.keys().isdisjoint(b) or kept.keys().isdisjoint(a):
+    if pick is not None:
+        if not kept:
             return True
-        # else the few lines whose first end is kept, then both ends
-        pairs = [(x, y) for x, y in compress(pairs, map(kept.__contains__, a)) if y in kept]
+        pairs = pick.findall(text)
         tok = kept  # it maps every token of these pairs
+    else:
+        parts = piece.split()
+        a, b = parts[1::3], parts[2::3]
+        pairs = zip(a, b)
+        if kept is not None:
+            # a piece with no kept token at one end stores nothing; edge lines
+            # usually come grouped by one end, so most pieces are such
+            if kept.keys().isdisjoint(b) or kept.keys().isdisjoint(a):
+                return True
+            # else the few lines whose first end is kept, then both ends
+            pairs = [(x, y) for x, y in compress(pairs, map(kept.__contains__, a)) if y in kept]
+            tok = kept
     get = tok.get
     for x, y in pairs:
         if (u := get(x)) is None:

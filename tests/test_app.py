@@ -589,16 +589,19 @@ def test_read_timing_script_runs(tmp_path):
     path = tmp_path / "g.col"
     path.write_text(to_dimacs(generate(GenSpec("gnp", n=40, p=0.5, seed=1))))
     script = os.path.join(ROOT, "scripts", "read_timing.py")
-    res = subprocess.run(
-        [sys.executable, script, str(path), "--repeats", "2"],
-        env=child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-    head, rule, row = res.stdout.splitlines()
-    assert head == "| file | size | full read | keep read |"
-    name, size, *reads = (c.strip() for c in row.strip("|").split("|"))
-    assert name == "g.col" and size.endswith(" MB")
-    assert len(reads) == 2 and all(re.fullmatch(r"[0-9.]+ → [0-9.]+ ms", c) for c in reads), row
+    for sizes in (None, "1,5,30"):
+        res = subprocess.run(
+            [sys.executable, script, str(path), "--repeats", "2"] + (["--keep-sizes", sizes] if sizes else []),
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        head, rule, row = res.stdout.splitlines()
+        keeps = (sizes or "5").split(",")
+        assert head == "| file | size | full read |" + "".join(f" keep {k} |" for k in keeps)
+        name, size, *reads = (c.strip() for c in row.strip("|").split("|"))
+        assert name == "g.col" and size.endswith(" MB")
+        assert len(reads) == 1 + len(keeps), row
+        assert all(re.fullmatch(r"[0-9.]+ → [0-9.]+ ms", c) for c in reads), row
 
 
 def test_cli_timing_script_runs(tmp_path):

@@ -522,6 +522,10 @@ SPLIT_CASES = {
     "newlines CR LF": (WHOLE.replace(b"\n", b"\r\n"), None, True),
     # both halves get the edges before the first "\n", and `_freeze` collapses them
     "CR before the first LF": (HEAD.replace(b"\n", b"\re 1 40\r") + HALF + HALF + b"e 2 40\n", None, True),
+    # the cut falls in the second HALF, so both halves store its later
+    # edges, and the parent's last neighbor of a vertex is not below the child's first
+    "edges in both halves": (HEAD + HALF + HALF, None, True),
+    "edges in both halves kept": (HEAD + HALF + HALF, {0, 3, 20, 23, 26}, True),
     # an edge list's line 1 is no header: the serial read reports it
     "edge list": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), None, False),
     "edge list kept": (b"41\n" + WHOLE[len(HEAD):].replace(b"e ", b""), {0, 40, 41}, False),
@@ -545,7 +549,7 @@ def test_split_read_cases(tmp_path, case):
     assert len(serial) == (not split or not isinstance(want[0], int))
     known = {  # m of a graph, or the message of an error: the first in file order
         "plain": 60, "newlines CR LF": 60, "second half with no newline": 31,
-        "CR before the first LF": 32,
+        "CR before the first LF": 32, "edges in both halves": 30, "edges in both halves kept": 4,
         "errors in both halves": "line 2: endpoint out of range in 'e 1 41'",
         "edge list": "line 1: unrecognized line '41'", "edge list kept": "line 1: unrecognized line '41'",
     }
@@ -575,6 +579,7 @@ def child_fault(monkeypatch, fault):
 SHORT_SENDS = {
     "sends nothing": lambda data, n: b"",
     "sends fewer than n lengths": lambda data, n: data[:4 * (n - 1)],
+    "sends fewer than n ascents": lambda data, n: data[:5 * n - 1],
     "sends a list shorter than its length": lambda data, n: data[:-4],
 }
 
@@ -810,6 +815,77 @@ def test_one_parse_compiles_one_pattern(monkeypatch):
     monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
     parse(text)
     assert len(compiled) == 1
+
+
+def kept_tokens_text(layout: str) -> tuple[str, list[int]]:
+    """The text of G(600, 0.3) with its lines laid out as `layout` says, and vertices to keep.
+
+    The vertices start with those of tokens 5, 57 and 571, each a
+    decimal prefix of the next, then the rest in random order.
+    """
+    g = generate(GenSpec("gnp", n=600, p=0.3, seed=5))
+    edges = [(u + 1, v + 1) for u, v in edge_list(g)]  # u < v, sorted: grouped by the first end
+    rng = random.Random(layout)
+    if layout == "second end":  # as the bench writes them
+        edges.sort(key=lambda e: (e[1], e[0]))
+    elif layout == "shuffled":
+        rng.shuffle(edges)
+    text = f"p edge 600 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    rest = [v for v in range(600) if v not in (4, 56, 570)]
+    return text, [4, 56, 570] + rng.sample(rest, graph._PICK_MAX)
+
+
+@pytest.mark.parametrize("layout", ["first end", "second end", "shuffled"])
+def test_keep_reads_on_both_routes_give_the_induced_subgraph(tmp_path, layout):
+    """Kept sets just below, at and just above `_PICK_MAX`, read serial and split."""
+    text, order = kept_tokens_text(layout)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    full = parse(text)
+    for size in (graph._PICK_MAX - 1, graph._PICK_MAX, graph._PICK_MAX + 1):
+        keep = set(order[:size])
+        want = kept_view(full, keep)
+        assert want[1] > size  # kept pairs to store
+        for split in (False, True):
+            with counted_forks() as forks:
+                assert read_outcome(path, keep, split) == want, (size, split)
+            assert len(forks) == split
+    assert len(graph._EMPTY) == 0
+
+
+class Unsplit(str):
+    """A piece that must not be split."""
+
+    def split(self, *args):
+        raise AssertionError("split a plain piece")
+
+
+@pytest.mark.parametrize("layout", ["first end", "shuffled"])
+def test_keep_read_splits_no_plain_piece_up_to_the_cap(monkeypatch, layout):
+    """Up to `_PICK_MAX` kept vertices one search finds the kept lines; above it each piece is split."""
+    text, order = kept_tokens_text(layout)
+    sizes = (0, 1, graph._PICK_MAX)
+    cut = graph._cut
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_cut", lambda blocks: map(Unsplit, cut(blocks)))
+        got = [keep_read(text, set(order[:size])) for size in sizes]
+        with pytest.raises(AssertionError, match="split a plain piece"):
+            keep_read(text, set(order[:graph._PICK_MAX + 1]))
+    full = parse(text)
+    for size, g in zip(sizes, got):
+        assert view(g) == kept_view(full, set(order[:size])), size
+
+
+def test_one_keep_read_compiles_two_patterns_up_to_the_cap(monkeypatch):
+    """The check and, up to `_PICK_MAX` kept vertices, the kept lines' pattern; one above it."""
+    text, order = kept_tokens_text("first end")
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
+    for size, count in ((1, 2), (graph._PICK_MAX, 2), (graph._PICK_MAX + 1, 1)):
+        compiled.clear()
+        parse_stream(io.StringIO(text), set(order[:size]))
+        assert len(compiled) == count, size
 
 
 def test_parse_stream_joins_one_long_line_in_linear_time():

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import meyniel
-from meyniel.graph import Graph, _canonical
+from meyniel.graph import Graph, _canonical, _kept_lines
 
 PACKAGE = pathlib.Path(meyniel.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -154,6 +154,7 @@ def test_plain_patterns_compile_on_the_lowest_declared_python():
     """Possessive quantifiers and atomic groups came to `re` in 3.11; before, they fail to compile."""
     if lowest_python() >= (3, 11):
         pytest.skip("the declared Python has the 3.11 regex syntax")
-    for n in (0, 1, 9, 10, 998, 2000, 99_999, sys.maxsize):
-        pattern = _canonical(n).pattern
+    patterns = [_canonical(n).pattern for n in (0, 1, 9, 10, 998, 2000, 99_999, sys.maxsize)]
+    patterns += [_kept_lines({t: 0 for t in tokens}).pattern for tokens in ([], ["5"], ["5", "57", "571"])]
+    for pattern in patterns:
         assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
