@@ -237,11 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name", default="", help="builtin graph name")
-
-    p = sub.add_parser("oracle", help="small brute-force reference values")
-    add_graph_args(p)
-    p.add_argument("--what", choices=("chromatic", "omega", "meyniel"), required=True)
 
     return ap
 
@@ -250,9 +245,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            spec = GenSpec(
-                family=args.family, n=args.n, p=args.p, seed=args.seed, name=args.name
-            )
+            spec = GenSpec(family=args.family, n=args.n, p=args.p, seed=args.seed)
             sys.stdout.writelines(dimacs_pieces(generate(spec)))
             return 0
 
@@ -260,17 +253,6 @@ def main(argv=None) -> int:
             return _verify(args.graph, args.cert)
 
         g = _read_graph(args.graph)
-
-        if args.command == "oracle":
-            from .oracle import chromatic_bf, is_meyniel_bf, omega_bf  # only this command needs it
-
-            if args.what == "chromatic":
-                print(chromatic_bf(g))
-            elif args.what == "omega":
-                print(omega_bf(g))
-            else:
-                print("meyniel" if is_meyniel_bf(g) else "not_meyniel")
-            return 0
 
         if args.command == "solve":
             first = ()

@@ -1,10 +1,8 @@
-"""Seeded graph generators and the two hand-built goldens.
+"""Seeded graph generators.
 
 `generate(GenSpec(...))` returns the same graph for the same spec, seed
 included.  `FAMILIES` names what it can build: G(n, p), random chordal
-and random bipartite graphs, cycles, complete and edgeless graphs, and
-the built-in `p6bar` and `sec5` instances that the tests use as
-goldens.
+and random bipartite graphs, cycles, complete and edgeless graphs.
 """
 
 from __future__ import annotations
@@ -16,37 +14,7 @@ from .graph import Graph, GraphInputError, build
 from .record import record
 
 
-FAMILIES = ("gnp", "chordal", "bipartite", "cycle", "complete", "edgeless", "builtin")
-
-# Two hand-built instances used as goldens throughout the test suite.
-#
-# p6bar: complement of the path u-v-w-x-y-z; the smallest graph whose
-# greedy-clique run fails and yields an odd cycle with one chord.
-_P6BAR_VERTS = "uvwxyz"
-_P6BAR_NONEDGES = (("u", "v"), ("v", "w"), ("w", "x"), ("x", "y"), ("y", "z"))
-
-# sec5: three disjoint triangles {a,d,e}, {b,f,g}, {c,h,i} joined by a
-# sparse matching-like set of cross edges; its stable sets exercise the
-# nice-ordering checker.
-_SEC5_VERTS = "abcdefghi"
-_SEC5_EDGES = (
-    ("a", "d"), ("a", "e"), ("d", "e"),
-    ("b", "f"), ("b", "g"), ("f", "g"),
-    ("c", "h"), ("c", "i"), ("h", "i"),
-    ("a", "f"), ("a", "h"), ("b", "d"), ("b", "i"), ("c", "e"), ("c", "g"),
-)
-
-
-def _builtin(name: str) -> Graph:
-    if name == "p6bar":
-        idx = {ch: k for k, ch in enumerate(_P6BAR_VERTS)}
-        non = {tuple(sorted((idx[a], idx[b]))) for a, b in _P6BAR_NONEDGES}
-        es = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in non]
-        return build(6, es)
-    if name == "sec5":
-        idx = {ch: k for k, ch in enumerate(_SEC5_VERTS)}
-        return build(9, [(idx[a], idx[b]) for a, b in _SEC5_EDGES])
-    raise GraphInputError(f"unknown builtin {name!r} (expected p6bar or sec5)")
+FAMILIES = ("gnp", "chordal", "bipartite", "cycle", "complete", "edgeless")
 
 
 class _GenFields(NamedTuple):
@@ -54,12 +22,14 @@ class _GenFields(NamedTuple):
     n: int = 0
     p: float = 0.5
     seed: int = 0
-    name: str = ""
 
 
 @record
 class GenSpec(_GenFields):
-    """Parameters for generate().  Unused fields may stay at defaults."""
+    """Parameters for generate(): a family of FAMILIES, n >= 0, p in [0, 1] and a seed.
+
+    A family that draws no edges at random ignores p and seed.
+    """
 
     __slots__ = ()
 
@@ -68,7 +38,7 @@ class GenSpec(_GenFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise GraphInputError(f"unknown family {self.family!r}")
-        if self.family != "builtin" and self.n < 0:
+        if self.n < 0:
             raise GraphInputError(f"n must be >= 0, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise GraphInputError(f"p must be in [0, 1], got {self.p}")
@@ -78,8 +48,6 @@ class GenSpec(_GenFields):
 def generate(spec: GenSpec) -> Graph:
     """Generate a graph; same spec (seed included) gives the same graph."""
     fam, n = spec.family, spec.n
-    if fam == "builtin":
-        return _builtin(spec.name)
     if fam == "edgeless":
         return build(n, [])
     if fam == "complete":

@@ -32,16 +32,20 @@ from meyniel.graph import build
 from meyniel.lexcolor import lex_color
 from meyniel.niceset import nice_check
 from meyniel.obstruction import NearObstruction, extract_obstruction, near_to_obstruction
-from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
 from conftest import (
     CountingGraph,
     all_graphs,
+    chromatic_bf,
     edge_list,
+    is_meyniel_bf,
     is_strong_stable_set,
     naive_lex_color,
+    omega_bf,
+    p6bar,
     random_graph,
     random_legal_order,
+    sec5,
 )
 
 
@@ -124,7 +128,7 @@ def test_random_sweep_with_oracle_cross_checks():
 
 
 def test_golden_run_path_complement():
-    g = generate(GenSpec(family="builtin", name="p6bar"))
+    g = p6bar()
     order = (1, 4, 2, 0, 3, 5)
     trace = lex_color(g, order)
     ok = tuple(trace.color_of) == (3, 1, 1, 2, 2, 4)
@@ -142,7 +146,7 @@ def test_golden_run_path_complement():
 
 
 def test_golden_run_three_triangles():
-    g = generate(GenSpec(family="builtin", name="sec5"))
+    g = sec5()
     order = (3, 1, 5, 6, 2, 8, 7, 0, 4)
     trace = lex_color(g, order)
     ok = tuple(trace.color_of) == (3, 2, 1, 1, 2, 1, 3, 2, 3)
@@ -445,8 +449,8 @@ def test_every_legal_tie_break_gives_a_certificate():
 
 
 def test_corrupted_certificates_are_rejected():
-    g = generate(GenSpec(family="builtin", name="p6bar"))
-    s = generate(GenSpec(family="builtin", name="sec5"))
+    g = p6bar()
+    s = sec5()
     opt = robust_solve(s, (3, 1, 5, 6, 2, 8, 7, 0, 4))
     ob = robust_solve(g, (1, 4, 2, 0, 3, 5))
     checks = []

@@ -26,15 +26,18 @@ from meyniel.gen import GenSpec, generate
 from meyniel.graph import parse, to_dimacs
 from meyniel.niceset import nice_check
 from meyniel.obstruction import InternalInvariantError, extract_obstruction
-from meyniel.oracle import chromatic_bf, is_meyniel_bf, omega_bf
 
 from conftest import (
     assert_verify_matches_decode,
+    chromatic_bf,
     cli_verify,
     counted_forks,
     graphs,
+    is_meyniel_bf,
     is_strong_stable_set,
     naive_lex_color,
+    omega_bf,
+    p6bar,
     random_graph,
     split_reads,
 )
@@ -154,10 +157,6 @@ def test_cli_gen_round_trips(capsys):
     g = parse(out)
     assert g.n == 7 and g.m == 7
 
-    code, out, _ = run(capsys, "gen", "--family", "builtin", "--name", "p6bar")
-    assert code == 0
-    assert parse(out).m == 10
-
 
 def test_cli_solve_optimal(tmp_path, capsys):
     g = generate(GenSpec(family="chordal", n=12, p=0.6, seed=3))
@@ -171,7 +170,7 @@ def test_cli_solve_optimal(tmp_path, capsys):
 
 
 def test_cli_solve_forced_obstruction(tmp_path, capsys):
-    g = generate(GenSpec(family="builtin", name="p6bar"))
+    g = p6bar()
     path = write_graph(tmp_path, g)
     out_file = tmp_path / "cert.json"
     code, out, _ = run(capsys, "solve", path, "--order", "1,4,2,0,3,5",
@@ -228,15 +227,18 @@ def test_cli_colorbystable(tmp_path, capsys):
     decode(g, lines[1])
 
 
-def test_cli_oracle(tmp_path, capsys):
-    c5 = generate(GenSpec(family="cycle", n=5))
-    path = write_graph(tmp_path, c5)
-    assert run(capsys, "oracle", path, "--what", "chromatic")[1].strip() == "3"
-    assert run(capsys, "oracle", path, "--what", "omega")[1].strip() == "2"
-    assert run(capsys, "oracle", path, "--what", "meyniel")[1].strip() == "not_meyniel"
-    c6 = generate(GenSpec(family="cycle", n=6))
-    path6 = write_graph(tmp_path, c6, "c6.col")
-    assert run(capsys, "oracle", path6, "--what", "meyniel")[1].strip() == "meyniel"
+@pytest.mark.parametrize("argv, complaint", [
+    (["oracle", "g.col", "--what", "omega"], "argument command: invalid choice: 'oracle'"),
+    (["gen", "--family", "builtin"], "argument --family: invalid choice: 'builtin'"),
+    (["gen", "--family", "cycle", "--n", "5", "--name", "p6bar"], "unrecognized arguments: --name p6bar"),
+], ids=["oracle", "builtin", "name"])
+def test_cli_removed_commands_are_usage_errors(capsys, argv, complaint):
+    """`oracle`, `gen --family builtin` and `gen --name` are usage errors: what they ran lives in tests/conftest.py."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: meyniel") and f": error: {complaint}" in err, err
 
 
 def test_cli_stdin(capsys, monkeypatch):
@@ -261,10 +263,6 @@ def test_cli_error_paths(tmp_path, capsys):
     path = write_graph(tmp_path, g)
     code, _, err = run(capsys, "solve", path, "--order", "0,1,2")
     assert code == 2 and "error:" in err
-
-    big = write_graph(tmp_path, generate(GenSpec(family="edgeless", n=40)), "big.col")
-    code, _, err = run(capsys, "oracle", big, "--what", "chromatic")
-    assert code == 2 and "limited to" in err
 
     # every command reads DIMACS only: an edge list is malformed input,
     # and there is no option to choose a format
@@ -490,7 +488,7 @@ def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypat
             return parse_lists(pieces, keep)
 
         monkeypatch.setattr(graph, "_parse", parse_lists if half is None else out_of_memory_in_half)
-        for args in (["solve", path], ["verify", path, str(cert)], ["oracle", path, "--what", "omega"]):
+        for args in (["solve", path], ["verify", path, str(cert)]):
             with split_reads(half is not None), counted_forks() as forks:
                 code, out, err = run(capsys, *args)
             assert (code, out, len(forks)) == (2, "", half is not None), (half, args)
@@ -504,7 +502,7 @@ def test_split_read_gives_the_serial_outputs(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_bytes(encode(robust_solve(g)))
     commands = (["solve", path], ["verify", path, str(cert)], ["stableset", path, "--vertex", "7"],
-                ["colorbystable", path], ["oracle", path, "--what", "omega"])
+                ["colorbystable", path])
     for args in commands:
         outcomes = []
         for split in (False, True):
@@ -536,14 +534,6 @@ def test_import_skips_dataclasses():
     code = ("import sys, meyniel.app; "
             "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
             "assert not loaded, sorted(loaded)")
-    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-
-def test_import_leaves_oracle_unloaded():
-    """Only the `oracle` command loads the brute-force references."""
-    code = "import sys, meyniel.app; assert 'meyniel.oracle' not in sys.modules, 'oracle loaded'"
     res = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -176,20 +176,6 @@ def test_generate_rejects_bad_specs():
         GenSpec(family="gnp", n=3, p=1.5)
     with pytest.raises(ValueError):
         generate(GenSpec(family="cycle", n=2))
-    with pytest.raises(ValueError):
-        generate(GenSpec(family="builtin", name="nosuch"))
-
-
-def test_builtin_shapes():
-    # complement of the 6-path u-v-w-x-y-z
-    g = generate(GenSpec(family="builtin", name="p6bar"))
-    assert g.n == 6 and g.m == 15 - 5
-    assert not g.has_edge(0, 1) and g.has_edge(0, 2)
-    s = generate(GenSpec(family="builtin", name="sec5"))
-    assert s.n == 9 and s.m == 15
-    for tri in ((0, 3, 4), (1, 5, 6), (2, 7, 8)):
-        a, b, c = tri
-        assert s.has_edge(a, b) and s.has_edge(a, c) and s.has_edge(b, c)
 
 
 # sha256 of to_dimacs(generate(spec)), taken when gnp and bipartite still
@@ -210,8 +196,6 @@ GENERATED_SHA256 = [
     (GenSpec("cycle", n=7), "c54f81957d34f47c49e9ad9a31703f38338723700e754bae0fefb63cb99196b5"),
     (GenSpec("complete", n=6), "b773e905c718366fff42d165620f18f3ceee229bbade2420bd942d91f4b44b58"),
     (GenSpec("edgeless", n=4), "5526a0e741337b1f4f87989736f5e93207c42114efa8b7f9cad5d50e7ddff28b"),
-    (GenSpec("builtin", name="p6bar"), "5ae7aa7a0c32684dcd3358311b439c0d4dc09325609ac865746e48a11982942d"),
-    (GenSpec("builtin", name="sec5"), "b79dd7784d1021e3892a61492a424d66de6ea1a32438744c5bcca6ab130f81d4"),
 ]
 
 

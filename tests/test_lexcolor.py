@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from meyniel.gen import generate, GenSpec
 from meyniel.graph import build
 from meyniel import lexcolor
 from meyniel.lexcolor import (
@@ -20,7 +19,7 @@ from meyniel.lexcolor import (
     lex_color,
 )
 
-from conftest import edge_list, graphs, naive_lex_color, random_graph, random_legal_order
+from conftest import edge_list, graphs, naive_lex_color, p6bar, random_graph, random_legal_order
 
 
 def _revlex_dense(a, b):
@@ -162,7 +161,7 @@ def test_packed_layout_at_its_edges(monkeypatch):
 
 
 def test_forced_order_runs_and_errors():
-    g = generate(GenSpec(family="builtin", name="p6bar"))
+    g = p6bar()
     trace = lex_color(g, (1, 4, 2, 0, 3, 5))
     assert trace.order == (1, 4, 2, 0, 3, 5)
     replay_and_check(g, trace, check_choice=False)

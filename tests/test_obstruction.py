@@ -31,9 +31,7 @@ from meyniel.obstruction import (
     near_to_obstruction,
     reduce_bad_path,
 )
-from meyniel.oracle import is_meyniel_bf
-
-from conftest import random_graph
+from conftest import is_meyniel_bf, p6bar, random_graph
 
 
 def validate_bad_path(g, trace, view, bp):
@@ -553,9 +551,7 @@ class TestValidatorsCatchCorruption:
 def test_golden_forced_run():
     # complement of the 6-path: the stuck clique sits at color 1 and the
     # machinery returns the 5-wheel-ish odd cycle on the other vertices
-    from meyniel.gen import generate, GenSpec
-
-    g = generate(GenSpec(family="builtin", name="p6bar"))
+    g = p6bar()
     trace = lex_color(g, (1, 4, 2, 0, 3, 5))
     res = greedy_clique(g, trace)
     assert res == CliqueFailure(color=1, clique=(5, 0, 3))

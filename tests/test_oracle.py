@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,17 +7,23 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from meyniel.gen import generate, GenSpec
-from meyniel.graph import build
-from meyniel.oracle import OracleSizeError, _neighbor_mask, chromatic_bf, is_meyniel_bf, omega_bf
+from meyniel.graph import build, to_dimacs
 
 from conftest import (
+    OracleSizeError,
     _bits,
+    _neighbor_mask,
+    chromatic_bf,
     edge_list,
     graphs,
+    is_meyniel_bf,
     is_stable_set,
     is_strong_stable_set,
     maximal_cliques,
+    omega_bf,
+    p6bar,
     random_graph,
+    sec5,
 )
 
 
@@ -127,10 +134,10 @@ def test_meyniel_known_cases():
     assert is_meyniel_bf(complete(6))
     # two chords on C7 can still leave a chordless 5-cycle inside
     assert not is_meyniel_bf(cycle(7, [(0, 2), (0, 3)]))
-    assert not is_meyniel_bf(generate(GenSpec(family="builtin", name="p6bar")))
+    assert not is_meyniel_bf(p6bar())
     # sec5 solves without a hitch but is not itself chord-rich: a-d-b-i-h
     # (0-3-1-8-7) is a chordless 5-cycle
-    assert not is_meyniel_bf(generate(GenSpec(family="builtin", name="sec5")))
+    assert not is_meyniel_bf(sec5())
 
 
 def test_meyniel_vs_permutation_reference():
@@ -169,3 +176,24 @@ def test_neighbor_mask_matches_neighbors(g, v):
     mask = _neighbor_mask(g, v)
     assert [u for u in range(g.n) if mask >> u & 1] == list(g.neighbors(v))
     assert list(_bits(mask)) == list(g.neighbors(v))
+
+
+def test_golden_shapes():
+    # complement of the 6-path u-v-w-x-y-z
+    g = p6bar()
+    assert g.n == 6 and g.m == 15 - 5
+    assert not g.has_edge(0, 1) and g.has_edge(0, 2)
+    s = sec5()
+    assert s.n == 9 and s.m == 15
+    for tri in ((0, 3, 4), (1, 5, 6), (2, 7, 8)):
+        a, b, c = tri
+        assert s.has_edge(a, b) and s.has_edge(a, c) and s.has_edge(b, c)
+
+
+def test_goldens_are_pinned():
+    """sha256 of each golden's DIMACS text, taken while `meyniel gen` still built them."""
+    for make, digest in (
+        (p6bar, "5ae7aa7a0c32684dcd3358311b439c0d4dc09325609ac865746e48a11982942d"),
+        (sec5, "b79dd7784d1021e3892a61492a424d66de6ea1a32438744c5bcca6ab130f81d4"),
+    ):
+        assert hashlib.sha256(to_dimacs(make()).encode()).hexdigest() == digest, make.__name__

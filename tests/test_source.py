@@ -1,7 +1,8 @@
 """Source checks: no module in meyniel imports a name that it never reads,
 every name the bench wraps exists, the verifiers in `certify` import
-nothing of the solver, only `graph` calls the `Graph` constructor, and the
-package needs no Python newer than the one pyproject.toml declares."""
+nothing of the solver, every module is one the CLI loads, only `graph`
+calls the `Graph` constructor, and the package needs no Python newer than
+the one pyproject.toml declares."""
 
 import ast
 import importlib
@@ -111,6 +112,38 @@ def test_catches_a_solver_import_in_certify(planted):
     tree = module_tree("certify")
     tree.body[:0] = ast.parse(planted).body
     assert imported_modules(tree) & SOLVER_MODULES
+
+
+def reached_from_main(trees: dict[str, ast.Module]) -> set[str]:
+    """The modules that `python -m meyniel` loads by the top-level imports of `__main__` and on.
+
+    An import inside a function or a branch is not followed: a module
+    that only such an import reaches is one that no run of the CLI needs.
+    """
+    seen, todo = set(), ["__main__"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            top = [node for node in trees[name].body if isinstance(node, (ast.Import, ast.ImportFrom))]
+            todo.extend(imported_modules(ast.Module(body=top, type_ignores=[])))
+    return seen
+
+
+def test_every_module_is_imported_by_the_cli():
+    """No module in `src/` serves only the tests."""
+    assert reached_from_main({name: module_tree(name) for name in MODULES}) == set(MODULES)
+
+
+def test_catches_a_module_imported_only_inside_a_function():
+    trees = {name: module_tree(name) for name in MODULES}
+    app = trees["app"]
+    (imp,) = [node for node in app.body if isinstance(node, ast.ImportFrom) and node.module == "gen"]
+    app.body.remove(imp)
+    (late,) = ast.parse("def late():\n    pass").body
+    late.body = [imp]
+    app.body.append(late)
+    assert set(MODULES) - reached_from_main(trees) == {"gen"}
 
 
 def graph_constructions(tree: ast.Module) -> int:
