@@ -1,6 +1,6 @@
 """Read timings of graph files, serial against split, full against keep.
 
-For each DIMACS file given, time `meyniel.app._read_graph` in turn,
+For each DIMACS file given, time `meyniel.graph.read_graph` in turn,
 `--repeats` times over: a full read and a keep read of each of
 `--keep-sizes` k vertices spread evenly over 0..n-1 (5 by default, as
 `meyniel verify` reads the graph of a 5-cycle certificate), each serial
@@ -22,16 +22,15 @@ import sys
 import time
 
 from meyniel import graph
-from meyniel.app import _read_graph
 
 
 def timed_read(path: str, keep, split: bool) -> float:
-    """Seconds that one `_read_graph(path, keep)` takes, split or serial."""
+    """Seconds that one `graph.read_graph(path, keep)` takes, split or serial."""
     saved = graph._SPLIT
     graph._SPLIT = 0 if split else sys.maxsize
     try:
         t0 = time.perf_counter()
-        _read_graph(path, keep)
+        graph.read_graph(path, keep)
         return time.perf_counter() - t0
     finally:
         graph._SPLIT = saved
@@ -39,7 +38,7 @@ def timed_read(path: str, keep, split: bool) -> float:
 
 def row(path: str, repeats: int, sizes: list[int]) -> str:
     """The Markdown row of `path`: name, size, then the full read and each keep read as serial → split medians in ms."""
-    n = _read_graph(path).n
+    n = graph.read_graph(path).n
     keeps = [None] + [{i * (n - 1) // max(k - 1, 1) for i in range(k)} for k in sizes]
     ways = [(keep, split) for keep in keeps for split in (False, True)]
     times = [[] for _ in ways]

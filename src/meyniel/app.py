@@ -10,7 +10,6 @@ surfaces as InternalInvariantError instead of a wrong answer.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from .certify import (
@@ -31,7 +30,7 @@ from .clique import CliqueFailure, greedy_clique, greedy_clique_over
 from .gen import FAMILIES, GenSpec, generate
 # `parse` has no caller here; it stays bound as `meyniel.app.parse` for the
 # in-process callers in bench/run.py and the span wrapper in bench/tracing.py
-from .graph import Graph, GraphInputError, dimacs_pieces, parse, parse_split, parse_stream
+from .graph import Graph, dimacs_pieces, parse, read_graph
 from .lexcolor import lex_color
 from .niceset import nice_check
 from .obstruction import (
@@ -136,31 +135,6 @@ def color_via_stable_sets(g: Graph) -> OptimalPair | MeynielObstruction:
     return _verified(g, OptimalPair(coloring=tuple(coloring), clique=res.clique))
 
 
-def _read_graph(path: str, keep=None) -> Graph:
-    """The graph in `path` ('-' for stdin), read as strict UTF-8; `keep` as in parse_stream.
-
-    A large file is parsed on two cores by `parse_split`; whenever that
-    declines or fails, the serial `parse_stream` reads the file and
-    raises the input's error.
-    """
-    try:
-        if path == "-":
-            # stdin's own decoding follows the locale and may escape bad
-            # bytes; decode its bytes as open() does, then leave them open
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-            try:
-                return parse_stream(fh, keep)
-            finally:
-                fh.detach()
-        with open(path, "r", encoding="utf-8") as fh:
-            g = parse_split(fh, keep)
-            return parse_stream(fh, keep) if g is None else g
-    except UnicodeDecodeError as exc:  # its position counts from the block, not the file
-        raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
-    except MemoryError:  # the input, not the program, is at fault
-        raise GraphInputError("graph input is too large: out of memory while reading it") from None
-
-
 def _verify(path: str, cert_path: str) -> int:
     """`meyniel verify`: 0 valid, 1 invalid; errors propagate as in `main`.
 
@@ -169,13 +143,18 @@ def _verify(path: str, cert_path: str) -> int:
     loaded one.  An error reading or loading it waits until the graph
     has been read, so a graph error still comes first.
     """
+    error = None
     try:
         with open(cert_path, "rb") as fh:
             cert = load(fh.read())
-    except (OSError, CertificateFormatError):
-        _read_graph(path, keep=())
-        raise
-    g = _read_graph(path, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
+    except (OSError, CertificateFormatError) as exc:
+        error = exc
+    except MemoryError:  # the certificate is too large; raised once the load's memory is freed
+        error = CertificateFormatError("certificate is too large: out of memory while reading it")
+    if error is not None:
+        read_graph(path, keep=())
+        raise error
+    g = read_graph(path, set(cert.cycle) if isinstance(cert, MeynielObstruction) else None)
     try:
         cert = decode(g, cert)
     except CertificateInvalidError as exc:
@@ -252,7 +231,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _verify(args.graph, args.cert)
 
-        g = _read_graph(args.graph)
+        g = read_graph(args.graph)
 
         if args.command == "solve":
             first = ()

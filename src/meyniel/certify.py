@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, quoted
 from .niceset import nice_check
 from .record import record
 
@@ -284,7 +284,7 @@ def load(data: bytes | str) -> Certificate:
     if kind == "nice_stable_set":
         _require_keys(doc, "order")
         return NiceStableSetCert(order=_int_list(doc, "order"))
-    raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+    raise CertificateFormatError(f"unknown certificate kind {quoted(kind)}")
 
 
 def decode(g: Graph, data: bytes | str | Certificate) -> Certificate:

@@ -36,20 +36,20 @@ the same, but a plain piece is split only when S has more than
 parse from S's tokens, finds the lines with both ends in S by one search
 of the checked piece, in line order.
 
-`parse_split` reads a large regular file on two cores.  When line 1 is
-the header, it cuts the file just after the first "\n" at or past its
-middle byte and forks one child.  The parent runs the parse loop over
-the first half, and the child over the header line followed by the
-second half.  Each half checks which of its arrays are strictly
-ascending.  Through a pipe the child then sends the length of each
-vertex's neighbor array, its checks, then the arrays' bytes; the parent
-reads them straight onto its own arrays.  It sorts only a joined array
-with a part that is not strictly ascending, or whose child part does not
-start above the parent's last entry, so the check runs in parallel.
-A cut after "\n" is a line boundary, and no UTF-8 sequence contains a
-"\n" byte, so each line lands whole in one half.  Should anything fail,
-`parse_split` returns None, and the caller's serial `parse_stream`
-reports the error as it would have anyway.
+`read_graph` reads a graph file, a large one on two cores when it can
+(`_parse_split`).  When line 1 is the header, it cuts the file just
+after the first "\n" at or past its middle byte and forks one child.
+The parent runs the parse loop over the first half, and the child over
+the header line followed by the second half.  Each half checks which of
+its arrays are strictly ascending.  Through a pipe the child then sends
+the length of each vertex's neighbor array, its checks, then the arrays'
+bytes; the parent reads them straight onto its own arrays.  It sorts
+only a joined array with a part that is not strictly ascending, or whose
+child part does not start above the parent's last entry, so the check
+runs in parallel.  A cut after "\n" is a line boundary, and no UTF-8
+sequence contains a "\n" byte, so each line lands whole in one half.
+Should anything fail, `read_graph` reads the file again serially, with
+`parse_stream`, which reports the error as it would have anyway.
 
 `dimacs_pieces` serializes a graph the other way, one vertex's edge
 lines at a time, so writing a graph holds no edge list and no whole text.
@@ -57,6 +57,7 @@ lines at a time, so writing a graph holds no edge list and no whole text.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import stat
@@ -80,6 +81,12 @@ class GraphParseError(GraphInputError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def quoted(x) -> str:
+    """`repr(x)` as an error message quotes an input line or value: cut after 80 characters, then "..."."""
+    r = repr(x)
+    return r if len(r) <= 80 else r[:80] + "..."
 
 
 class Graph:
@@ -109,11 +116,6 @@ class Graph:
             raise IndexError(f"vertex {v} out of range")
         return self._nbrs[v]
 
-    def degree(self, v: int) -> int:
-        if v < 0:
-            raise IndexError(f"vertex {v} out of range")
-        return len(self._nbrs[v])
-
     def subgraph(self, verts: list[int] | tuple[int, ...]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `verts` plus the old-vertex map.
 
@@ -135,10 +137,6 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._nbrs == other._nbrs
-
-    def __hash__(self) -> int:
-        # arrays are unhashable; equal graphs have equal n and m
-        return hash((self.n, self.m))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -216,6 +214,31 @@ def parse_stream(fh, keep=None) -> Graph:
     return _freeze(_parse(_cut(iter(partial(fh.read, _SLICE), "")), keep))
 
 
+def read_graph(path: str, keep=None) -> Graph:
+    """The graph in the file at `path` ("-" for stdin), read as strict UTF-8; `keep` as in `parse_stream`.
+
+    A large regular file is parsed on two cores by a fork when it can be
+    (`_parse_split`), so the process should run no other thread.  Else,
+    or should that fail, `parse_stream` reads it and raises the input's
+    error.  Input that is not UTF-8 or exhausts memory raises GraphInputError.
+    """
+    try:
+        if path == "-":
+            # stdin's own decoding follows the locale and may escape bad
+            # bytes; decode its bytes as open() does, then leave them open
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return parse_stream(fh, keep)
+            finally:
+                fh.detach()
+        with open(path, encoding="utf-8") as fh:
+            return parse_stream(fh, keep) if (g := _parse_split(fh, keep)) is None else g
+    except UnicodeDecodeError as exc:  # its position counts from the block, not the file
+        raise GraphInputError(f"graph input is not valid UTF-8: {exc.reason}") from None
+    except MemoryError:  # the input, not the program, is at fault
+        raise GraphInputError("graph input is too large: out of memory while reading it") from None
+
+
 # The parse loop takes the text in pieces that end just after a "\n",
 # about every _SLICE characters (the last piece may end without one).
 # A cut after "\n" is also a `str.splitlines` boundary, so lines and line
@@ -248,13 +271,13 @@ def _cut(blocks):
 
 
 # A regular file of at least _SPLIT bytes is parsed on two cores when it
-# can be (see `parse_split`).  Below it the fork and the transfer cost
+# can be (see `_parse_split`).  Below it the fork and the transfer cost
 # more than the second core saves: at 1 MiB a full read of a dense graph
 # gains and one of a sparse graph breaks even (measured in the README).
 _SPLIT = 1 << 20
 
 
-def parse_split(fh, keep=None) -> Graph | None:
+def _parse_split(fh, keep=None) -> Graph | None:
     """`parse_stream(fh, keep)` of a large file, parsed by two processes; or None.
 
     `fh` is a text file that `open(path, encoding="utf-8")` returned and
@@ -267,12 +290,10 @@ def parse_split(fh, keep=None) -> Graph | None:
     child parses the header line followed by the rest.
 
     Returns None in every other case, and whenever either half raises,
-    the child dies or its arrays end short: the caller then reads `fh`
-    with `parse_stream`, which reports any error of the input.  Both
-    halves read by position, so `fh` is still at its start.  The child is
-    reaped before this returns, and killed first unless it exited on its
-    own; a KeyboardInterrupt still propagates.  It forks, so it is meant
-    for a process that runs no other thread, as the CLI does.
+    the child dies or its arrays end short.  Both halves read by
+    position, so `fh` is then still at its start for the serial read.
+    The child is reaped before this returns, and killed first unless it
+    exited on its own; a KeyboardInterrupt still propagates.
     """
     try:
         fd = fh.fileno()
@@ -416,9 +437,9 @@ def _endpoints(tok: dict, a: str, b: str, n: int, ln: int, raw: str, adj: list) 
     try:
         u, v = int(a) - 1, int(b) - 1
     except ValueError:
-        raise GraphParseError(ln, f"bad edge line {raw.strip()!r}") from None
+        raise GraphParseError(ln, f"bad edge line {quoted(raw.strip())}") from None
     if not (0 <= u < n and 0 <= v < n):
-        raise GraphParseError(ln, f"endpoint out of range in {raw.strip()!r}")
+        raise GraphParseError(ln, f"endpoint out of range in {quoted(raw.strip())}")
     for w in u, v:
         if adj[w] is None:
             adj[w] = array("I")
@@ -455,7 +476,7 @@ def _parse(pieces, keep=None) -> list:
                 if u is None or v is None:
                     u, v = _endpoints(tok, a, b, n, ln, raw, adj)
                 if u == v:
-                    raise GraphParseError(ln, f"self-loop in {raw.strip()!r}")
+                    raise GraphParseError(ln, f"self-loop in {quoted(raw.strip())}")
                 adj[u].append(v)
                 adj[v].append(u)
             elif (count := _other_line(parts, raw, ln, adj is not None)) is not None:
@@ -596,24 +617,23 @@ def _other_line(parts: list[str], raw: str, ln: int, started: bool) -> int | Non
     """
     if not parts:
         return None
-    line = raw.strip()
     tag = parts[0]
     if tag == "e":
-        raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}" if started
+        raise GraphParseError(ln, f"expected 'e <u> <v>', got {quoted(raw.strip())}" if started
                               else "edge before problem line")
     if tag.startswith("c"):
         return None
     if tag != "p":
-        raise GraphParseError(ln, f"unrecognized line {line!r}")
+        raise GraphParseError(ln, f"unrecognized line {quoted(raw.strip())}")
     if started:
         raise GraphParseError(ln, "duplicate problem line")
     if len(parts) != 4 or parts[1] != "edge":
-        raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
+        raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {quoted(raw.strip())}")
     try:
         n = int(parts[2])
         int(parts[3])  # the edge count must be an int too
     except ValueError:
-        raise GraphParseError(ln, f"bad problem line {line!r}") from None
+        raise GraphParseError(ln, f"bad problem line {quoted(raw.strip())}") from None
     if n < 0:
         raise GraphParseError(ln, f"negative vertex count {n}")
     if n > sys.maxsize:  # no list can have an entry per vertex

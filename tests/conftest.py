@@ -30,7 +30,7 @@ def no_child_left():
 
 @contextlib.contextmanager
 def split_reads(on: bool = True):
-    """Make `graph.parse_split` split every file it can (on), or none (off).
+    """Make `graph.read_graph` split every file it can (on), or none (off).
 
     On, the size threshold is 0 and two CPUs count as usable, whatever
     the host has, so the child is forked on any host with `os.fork`.
@@ -263,7 +263,7 @@ def chromatic_bf(g: Graph) -> int:
         return 0
     if g.m == 0:
         return 1
-    order = sorted(range(n), key=lambda v: -g.degree(v))
+    order = sorted(range(n), key=lambda v: -len(g.neighbors(v)))
     col = [0] * n
 
     def fits(idx: int, k: int, used: int) -> bool:
@@ -456,6 +456,9 @@ def reference_parse(text: str) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        shown = repr(line)  # an error message quotes 80 characters of it at most
+        if len(shown) > 80:
+            shown = shown[:80] + "..."
         if not line or line.startswith("c"):
             continue
         parts = line.split()
@@ -463,12 +466,12 @@ def reference_parse(text: str) -> tuple[int, list[tuple[int, int]]]:
             if n is not None:
                 raise GraphParseError(ln, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
-                raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {line!r}")
+                raise GraphParseError(ln, f"expected 'p edge <n> <m>', got {shown}")
             try:
                 n = int(parts[2])
                 int(parts[3])
             except ValueError:
-                raise GraphParseError(ln, f"bad problem line {line!r}") from None
+                raise GraphParseError(ln, f"bad problem line {shown}") from None
             if n < 0:
                 raise GraphParseError(ln, f"negative vertex count {n}")
             if n > sys.maxsize:
@@ -477,18 +480,18 @@ def reference_parse(text: str) -> tuple[int, list[tuple[int, int]]]:
             if n is None:
                 raise GraphParseError(ln, "edge before problem line")
             if len(parts) != 3:
-                raise GraphParseError(ln, f"expected 'e <u> <v>', got {line!r}")
+                raise GraphParseError(ln, f"expected 'e <u> <v>', got {shown}")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise GraphParseError(ln, f"bad edge line {line!r}") from None
+                raise GraphParseError(ln, f"bad edge line {shown}") from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(ln, f"endpoint out of range in {line!r}")
+                raise GraphParseError(ln, f"endpoint out of range in {shown}")
             if u == v:
-                raise GraphParseError(ln, f"self-loop in {line!r}")
+                raise GraphParseError(ln, f"self-loop in {shown}")
             edges.append((u - 1, v - 1))
         else:
-            raise GraphParseError(ln, f"unrecognized line {line!r}")
+            raise GraphParseError(ln, f"unrecognized line {shown}")
     if n is None:
         raise GraphParseError(1, "missing problem line")
     return _reference_build(n, edges)

@@ -305,6 +305,58 @@ def test_cli_vertex_count_no_list_can_hold_exits_2(tmp_path, capsys):
         assert err == f"error: line 1: vertex count 99999999999999999999999 exceeds {sys.maxsize}\n"
 
 
+NINES = "9" * 10**6  # a 1 MB token
+
+
+@pytest.mark.parametrize("text, complaint", [
+    (f"p edge 5 0\ne 1 {NINES}\n", "line 2: bad edge line"),
+    (f"p edge 5 0\ne 1 2 {NINES}\n", "line 2: expected 'e <u> <v>', got"),
+    (f"p edge 5 0\ne 1 {'0' * 4000}6\n", "line 2: endpoint out of range in"),
+    (f"p edge 5 0\ne {'0' * 4000}1 1\n", "line 2: self-loop in"),
+    (f"p edge 5 0\n{NINES}\n", "line 2: unrecognized line"),
+    (f"p edge 5 {NINES}\n", "line 1: bad problem line"),
+    (f"p edge 5 0 {NINES}\n", "line 1: expected 'p edge <n> <m>', got"),
+], ids=["bad-edge", "edge-width", "edge-range", "self-loop", "unrecognized", "bad-header", "header-width"])
+def test_cli_error_quotes_a_long_line_cut_short(tmp_path, capsys, text, complaint):
+    """A hostile long line gives one short error line, which quotes 80 characters of it."""
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    line = text.splitlines()[-1]
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {complaint} {repr(line)[:80]}...\n" and len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("kind", ["x" * 10**6, [1] * 10**6], ids=["str", "list"])
+def test_cli_verify_quotes_a_long_kind_cut_short(tmp_path, kind):
+    path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"kind": kind}))
+    code, out, err = cli_verify(path, str(cert))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown certificate kind {repr(kind)[:80]}...\n" and len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("graph_text, error", [
+    ("p edge 3 1\ne 1 2\n", "error: certificate is too large: out of memory while reading it\n"),
+    ("p edge 3 1\ne 1 5\n", "error: line 2: endpoint out of range in 'e 1 5'\n"),
+], ids=["valid-graph", "malformed-graph"])
+def test_cli_out_of_memory_loading_the_certificate_exits_2(tmp_path, monkeypatch, graph_text, error):
+    """Running out of memory while the certificate is loaded means the certificate is too large.
+
+    A graph error is still reported first.
+    """
+    def huge(data):
+        raise MemoryError
+
+    monkeypatch.setattr("meyniel.app.load", huge)
+    path = tmp_path / "g.col"
+    path.write_text(graph_text)
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
+    assert cli_verify(str(path), str(cert)) == (2, "", error)
+
+
 @pytest.mark.parametrize("where", ["path", "stdin"])
 @pytest.mark.parametrize("offset", [30, 120_000])
 def test_cli_graph_not_utf8(tmp_path, capsys, monkeypatch, where, offset):
@@ -363,6 +415,7 @@ def hostile_documents(g, cert):
     yield encode(cert)
     yield obstruction_doc(cyc[1:] + cyc[:1], chord)  # rotated: still valid
     yield obstruction_doc(cyc[:-1] + [g.n])  # a cycle vertex out of range
+    yield obstruction_doc([g.n] + cyc[1:])  # ... and read first
     yield obstruction_doc(cyc[:-1] + [-1])
     yield obstruction_doc(cyc[:-1] + [10 ** 30])
     yield obstruction_doc(cyc, [cyc[0], off])  # a chord off the cycle
@@ -476,7 +529,7 @@ def test_cli_out_of_memory_reading_the_graph_exits_2(tmp_path, capsys, monkeypat
     def huge(fh, keep=None):
         raise MemoryError
 
-    monkeypatch.setattr("meyniel.app.parse_stream", huge)
+    monkeypatch.setattr(graph, "parse_stream", huge)
     path = write_graph(tmp_path, generate(GenSpec(family="cycle", n=5)))
     cert = tmp_path / "cert.json"
     cert.write_bytes(obstruction_doc([0, 1, 2, 3, 4]))
@@ -612,6 +665,33 @@ def test_cli_timing_script_runs(tmp_path):
         assert tree == ROOT and code == "0", row
         assert re.fullmatch(r"[0-9.]+ s", wall) and re.fullmatch(r"[0-9.]+ s", cpu), row
         assert re.fullmatch(r"[0-9.]+ MB", rss) and float(rss.split()[0]) > 1, row
+
+
+def test_mutants_script_runs():
+    script = os.path.join(ROOT, "scripts", "mutants.py")
+    res = subprocess.run([sys.executable, script, "--list"], env=child_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    listed = res.stdout.splitlines()
+    assert len(listed) > 50
+    assert all(re.fullmatch(r"#\d+ certify\.py:\d+:\d+ \w+ .+ -> .+: .+", line) for line in listed)
+
+    def number(func, change, code):
+        (k,) = [line.split()[0][1:] for line in listed if line.endswith(f" {func} {change}: {code}")]
+        return k
+
+    # the range check's `<` made `<=`, which a cycle through vertex n kills,
+    # and the equivalent `v > u` made `v >= u` (a graph has no loops)
+    killed = number("verify_obstruction", "Lt -> LtE", "if not 0 <= v < g.n:")
+    kept = number("verify_coloring", "Gt -> GtE", "if v > u and cols[v] == cu:")
+    res = subprocess.run([sys.executable, script, "--only", f"{killed},{kept}", "--", "tests/test_certify.py",
+                          "-k", "repeats_and_range or monochromatic_edge"],
+                         env=child_env(), capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    out = res.stdout.splitlines()
+    assert any(line.startswith(f"#{killed} killed certify.py:") for line in out), out
+    assert any(line.startswith(f"#{kept} survived certify.py:") for line in out), out
+    assert out[-2] == "killed 1 of 2 mutants" and out[-1].startswith(f"survivor #{kept} certify.py:110:"), out
 
 
 def test_module_entry_point():

@@ -68,6 +68,8 @@ class TestVerifyColoring:
         g = build(3, [])
         v = verify_coloring(g, [1, 3, 1])
         assert not v and "not contiguous: 2" in v.reason
+        # color 1 itself unused
+        assert verify_coloring(build(2, []), (2, 2)).reason == "colors not contiguous: 1 unused below 2"
 
     def test_monochromatic_edge(self):
         g = build(3, [(0, 1), (1, 2)])
@@ -144,11 +146,12 @@ class TestVerifyClique:
         assert verify_clique(g, q) == self.pairwise(g, q)
 
     def test_a_valid_clique_costs_one_read_of_each_members_list(self):
-        g = CountingGraph(build(60, [(u, v) for u in range(60) for v in range(u + 1, 60) if u < 25 or (u + v) % 3]))
+        h = build(60, [(u, v) for u in range(60) for v in range(u + 1, 60) if u < 25 or (u + v) % 3])
+        g = CountingGraph(h)
         q = list(range(25))
         assert verify_clique(g, q)
         # CountingGraph adds deg + 1 per neighbors read and 1 per has_edge
-        assert g.count == sum(g.degree(v) + 1 for v in q)
+        assert g.count == sum(len(h.neighbors(v)) + 1 for v in q)
 
 
 def test_optimal_pair_size_check():
@@ -187,6 +190,9 @@ class TestVerifyObstruction:
             g, MeynielObstruction(cycle=(0, 1, 2, 3, 0))).reason
         assert "out of range" in obstruction_verdict(
             g, MeynielObstruction(cycle=(0, 1, 2, 3, 7))).reason
+        # n itself, first, so no earlier check can reject the cycle
+        assert obstruction_verdict(
+            g, MeynielObstruction(cycle=(5, 1, 2, 3, 4))).reason == "cycle vertex 5 out of range"
 
     def test_missing_cycle_edge(self):
         g = cycle_graph(5)

@@ -1,8 +1,9 @@
 """Source checks: no module in meyniel imports a name that it never reads,
 every name the bench wraps exists, the verifiers in `certify` import
 nothing of the solver, every module is one the CLI loads, only `graph`
-calls the `Graph` constructor, and the package needs no Python newer than
-the one pyproject.toml declares."""
+calls the `Graph` constructor, every public method of `Graph` has a
+caller outside the tests, and the package needs no Python newer than the
+one pyproject.toml declares."""
 
 import ast
 import importlib
@@ -163,6 +164,33 @@ def test_catches_a_graph_built_outside_graph(planted):
     tree = module_tree("certify")
     tree.body.extend(ast.parse(planted).body)
     assert graph_constructions(tree)
+
+
+def public_methods(tree: ast.Module, cls: str) -> set[str]:
+    """The methods that class `cls` of a module defines without a leading underscore."""
+    (node,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    return {f.name for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+
+
+def attributes_read_outside_the_tests() -> set[str]:
+    """Every attribute name that the code in `src/`, `bench/` or `scripts/` reads, test files aside."""
+    root = PACKAGE.parents[1]
+    paths = [*PACKAGE.glob("*.py"), *(root / "bench").glob("*.py"), *(root / "scripts").glob("*.py")]
+    return {node.attr for path in paths if not path.name.startswith("test_")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_graph_method_has_a_caller_outside_the_tests():
+    """No method of `Graph` serves only the tests."""
+    assert public_methods(module_tree("graph"), "Graph") <= attributes_read_outside_the_tests()
+
+
+def test_catches_a_graph_method_only_the_tests_call():
+    tree = module_tree("graph")
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Graph"]
+    cls.body.extend(ast.parse("def degree(self, v):\n    return len(self._nbrs[v])").body)
+    assert public_methods(tree, "Graph") - attributes_read_outside_the_tests() == {"degree"}
 
 
 def test_graph_and_gen_import_only_what_they_build_on():
